@@ -1,17 +1,22 @@
-"""``repro.analysis`` — determinism tooling (a.k.a. **detlint**).
+"""``repro.analysis`` — determinism and contract tooling (a.k.a. **detlint**).
 
 The repo's claim to AISLE's quantified milestones rests on bit-identical
 same-seed simulation.  Reviewer vigilance does not scale to that
 contract; this package enforces it with tooling:
 
 - **Static half** (:mod:`repro.analysis.rules`,
-  :mod:`repro.analysis.engine`): an AST linter over sim code with rules
-  D001–D005 (module-global id factories, wall-clock reads, process-global
-  randomness, set-order iteration, ``id()``/``hash()`` ordering keys),
-  inline ``# detlint: ignore[...]`` pragmas, ``[tool.detlint]`` config in
-  ``pyproject.toml``, and a JSON report mode.  Run it with::
+  :mod:`repro.analysis.contracts`): one analyzer that parses each file
+  once and runs two rule families over the cached facts — the per-file
+  determinism rules D001–D006 (module-global id factories, wall-clock
+  reads, process-global randomness, set-order iteration,
+  ``id()``/``hash()`` ordering keys, raw process fan-out) and the
+  cross-module contract rules C001–C004.  Inline
+  ``# detlint: ignore[...]`` pragmas suppress a finding, ``[tool.detlint]
+  exclude`` in ``pyproject.toml`` narrows the D-rules' scope, a committed
+  baseline ratchets contract debt, and reports come as text, JSON or
+  SARIF.  Run it from the repo root with::
 
-      python -m repro.analysis src benchmarks examples
+      python -m repro.analysis
 
 - **Runtime half** (:mod:`repro.analysis.audit`): an opt-in sim-time race
   auditor that rides the kernel's step/schedule hooks, counting
@@ -21,21 +26,20 @@ contract; this package enforces it with tooling:
 """
 
 from repro.analysis.audit import AuditFinding, RaceAuditor, WatchedRegistry
-from repro.analysis.engine import (DetlintConfig, Finding, Report,
-                                   lint_paths, lint_source, load_config)
-from repro.analysis.rules import ALL_RULES, RULES_BY_CODE, Violation
+from repro.analysis.contracts import (RULE_TABLE, Baseline, Finding, Report,
+                                      analyze, load_exclude)
+from repro.analysis.rules import ALL_RULES, Violation
 
 __all__ = [
     "ALL_RULES",
     "AuditFinding",
-    "DetlintConfig",
+    "Baseline",
     "Finding",
     "RaceAuditor",
     "Report",
-    "RULES_BY_CODE",
+    "RULE_TABLE",
     "Violation",
     "WatchedRegistry",
-    "lint_paths",
-    "lint_source",
-    "load_config",
+    "analyze",
+    "load_exclude",
 ]

@@ -1,8 +1,12 @@
-"""Per-module fact extraction for the whole-program contract analyzer.
+"""Per-module fact extraction: the analyzer's one parse of each file.
 
 One :class:`ModuleFacts` is the complete, JSON-serializable summary of
-everything the cross-module rules (C001–C004) need to know about one
-source file:
+everything the rules need to know about one source file — the per-file
+determinism rules (D001–D006) and the cross-module contract rules
+(C001–C004) alike:
+
+- **Determinism violations** — the raw D-rule hits
+  (:mod:`repro.analysis.rules`), run on the same tree.
 
 - **Topic sinks** — string literals (and f-string templates) flowing
   into ``bus.publish(...)``/``broker.route(...)`` on the publish side
@@ -28,6 +32,20 @@ source file:
   re-reading the file, including first-line pragmas on wrapped
   multi-line statements.
 
+Pragmas
+-------
+A finding is *suppressed* (reported but not counted against the exit
+code) when the flagged line — or a comment-only line directly above it —
+carries::
+
+    # detlint: ignore[D001]         suppress one rule on this line
+    # detlint: ignore[D001,C003]    suppress several
+    # detlint: ignore               suppress every rule on this line
+
+A finding on a continuation line of a wrapped statement is also covered
+by a pragma on (or directly above) the statement's first line.  Anything
+after the closing bracket is free-form justification; write one.
+
 Everything here is syntactic and module-local; the cross-module joins
 live in :mod:`repro.analysis.contracts.rules` over the assembled
 :class:`~repro.analysis.contracts.project.ProjectIndex`.
@@ -40,14 +58,15 @@ import re
 from dataclasses import asdict, dataclass, field
 from typing import Any, Optional
 
-from repro.analysis.rules import ModuleContext
+from repro.analysis.rules import (MUTATING_METHODS, ModuleContext,
+                                  Violation, call_terminal, check_module)
 
 __all__ = ["FACTS_VERSION", "ModuleFacts", "TopicFact", "MetricFact",
            "ResilienceFact", "ClassFact", "extract_facts", "parse_error_facts"]
 
 #: Bump whenever the extraction output changes shape or semantics — the
 #: incremental cache discards entries recorded under a different version.
-FACTS_VERSION = 4
+FACTS_VERSION = 5
 
 #: A formatted (non-literal) f-string segment: matches any one topic
 #: segment.  Kept as a string marker so facts stay JSON-round-trippable.
@@ -68,11 +87,6 @@ _METRIC_SINKS = frozenset({"counter", "gauge", "histogram"})
 #: ``registry.gauge("x").value`` is a read site, ``.set()`` an emission.
 _METRIC_READS = frozenset({"value", "mean", "summary", "quantile",
                            "percentiles"})
-
-_MUTATING_METHODS = frozenset({
-    "append", "appendleft", "add", "update", "setdefault", "pop", "popitem",
-    "insert", "extend", "extendleft", "remove", "discard", "clear",
-})
 
 _MERGE_PROTOCOL = frozenset({"merge_from", "state", "merge_state", "merge"})
 
@@ -154,7 +168,9 @@ class ModuleFacts:
     instantiated: list[str] = field(default_factory=list)
     strings: dict[str, int] = field(default_factory=dict)
     load_subscripts: list[str] = field(default_factory=list)
-    pragmas: dict[str, Optional[list[str]]] = field(default_factory=dict)
+    violations: list[Violation] = field(default_factory=list)
+    #: line -> codes a pragma suppresses there (``[]`` = every code).
+    pragmas: dict[str, list[str]] = field(default_factory=dict)
     stmt_spans: list[list[int]] = field(default_factory=list)
     parse_error: Optional[dict[str, Any]] = None
 
@@ -174,8 +190,8 @@ class ModuleFacts:
         out.instantiated = list(data.get("instantiated", ()))
         out.strings = dict(data.get("strings", {}))
         out.load_subscripts = list(data.get("load_subscripts", ()))
-        out.pragmas = {k: (list(v) if v is not None else None)
-                       for k, v in data.get("pragmas", {}).items()}
+        out.violations = [Violation(**d) for d in data.get("violations", ())]
+        out.pragmas = {k: list(v) for k, v in data.get("pragmas", {}).items()}
         out.stmt_spans = [list(span) for span in data.get("stmt_spans", ())]
         out.parse_error = data.get("parse_error")
         return out
@@ -194,15 +210,12 @@ class ModuleFacts:
         return best
 
     def suppressed(self, line: int, code: str) -> bool:
-        """True when a pragma covers ``code`` at ``line`` — on the line,
-        on a comment line directly above, or on the first line of the
-        enclosing wrapped statement."""
-        start = self.stmt_start(line)
-        for cand in (line, line - 1, start, start - 1):
+        """True when a pragma covers ``code`` at ``line`` or at the first
+        line of the enclosing wrapped statement (see the module
+        docstring for where a pragma may sit)."""
+        for cand in (line, self.stmt_start(line)):
             codes = self.pragmas.get(str(cand))
-            if codes is None and str(cand) not in self.pragmas:
-                continue
-            if codes is None or not codes or code in codes:
+            if codes is not None and (not codes or code in codes):
                 return True
         return False
 
@@ -330,14 +343,6 @@ def _resolve_dict_arg(node: ast.expr,
 # -- extraction ----------------------------------------------------------------
 
 
-def _call_terminal(call: ast.Call) -> Optional[str]:
-    if isinstance(call.func, ast.Attribute):
-        return call.func.attr
-    if isinstance(call.func, ast.Name):
-        return call.func.id
-    return None
-
-
 def _sink_arg(call: ast.Call, index: int, keyword: str) -> Optional[ast.expr]:
     for kw in call.keywords:
         if kw.arg == keyword:
@@ -384,7 +389,7 @@ def _class_name_candidates(call: ast.Call,
                            ctx: ModuleContext) -> Optional[str]:
     """Resolved (or bare) name when a call looks like instantiation."""
     resolved = ctx.resolve_call(call)
-    terminal = _call_terminal(call)
+    terminal = call_terminal(call)
     if terminal is None or not terminal[:1].isupper():
         return None
     return resolved or terminal
@@ -422,7 +427,7 @@ def _self_mutations(fn: ast.AST) -> dict[str, int]:
     for node in ast.walk(fn):
         if isinstance(node, ast.Call) and isinstance(node.func,
                                                      ast.Attribute) \
-                and node.func.attr in _MUTATING_METHODS:
+                and node.func.attr in MUTATING_METHODS:
             target = node.func.value
             if isinstance(target, ast.Attribute) \
                     and isinstance(target.value, ast.Name) \
@@ -487,16 +492,23 @@ def _harvest_strings(module: ast.Module) -> tuple[dict[str, int], list[str]]:
     return strings, load_subscripts
 
 
-def _harvest_pragmas(source: str) -> dict[str, Optional[list[str]]]:
-    pragmas: dict[str, Optional[list[str]]] = {}
+def _harvest_pragmas(source: str) -> dict[str, list[str]]:
+    """Resolve pragma geometry once: a pragma covers its own line, and a
+    pragma on a comment-only line also covers the line below it.  A
+    pragma trailing code covers nothing but that line."""
+    pragmas: dict[str, list[str]] = {}
     for line_no, text in enumerate(source.splitlines(), start=1):
         m = _PRAGMA.search(text)
         if m is None:
             continue
-        codes = m.group("codes")
-        pragmas[str(line_no)] = (
-            None if codes is None
-            else [c.strip() for c in codes.split(",") if c.strip()])
+        codes = [c.strip() for c in (m.group("codes") or "").split(",")
+                 if c.strip()]
+        covered = (line_no, line_no + 1) if text.lstrip().startswith("#") \
+            else (line_no,)
+        for target in map(str, covered):
+            prev = pragmas.get(target)
+            pragmas[target] = [] if not codes or prev == [] \
+                else sorted({*(prev or ()), *codes})
     return pragmas
 
 
@@ -553,7 +565,7 @@ def extract_facts(source: str, path: str, module: str) -> ModuleFacts:
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
             continue
-        terminal = _call_terminal(node)
+        terminal = call_terminal(node)
         if terminal is None:
             continue
         qual, fn = owner_of(node)
@@ -582,7 +594,7 @@ def extract_facts(source: str, path: str, module: str) -> ModuleFacts:
                         (isinstance(arg, ast.Name)
                          and "topic" in arg.id.lower())
                         or (isinstance(arg, ast.Call)
-                            and "topic" in (_call_terminal(arg) or "").lower()
+                            and "topic" in (call_terminal(arg) or "").lower()
                             ))
                     if topicish and attr in ("publish", "route"):
                         bucket.append(TopicFact(
@@ -669,6 +681,7 @@ def extract_facts(source: str, path: str, module: str) -> ModuleFacts:
                 facts.instantiated.append(cand)
 
     facts.strings, facts.load_subscripts = _harvest_strings(tree)
+    facts.violations = check_module(tree, ctx)
     facts.pragmas = _harvest_pragmas(source)
     facts.stmt_spans = _harvest_stmt_spans(tree)
     return facts

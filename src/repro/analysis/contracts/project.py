@@ -1,9 +1,12 @@
-"""Project symbol table + incremental fact cache for contract analysis.
+"""Project symbol table + incremental fact cache for the analyzer.
 
-:func:`build_project` walks the program tree (``src/repro`` by default)
-plus optional *reference* roots (tests/benchmarks/examples — read-side
-evidence only), extracts :class:`~repro.analysis.contracts.facts.ModuleFacts`
-per file, and assembles a :class:`ProjectIndex` the C-rules run over.
+:func:`build_project` walks the program tree (``src`` by default) plus
+optional *reference* roots (tests/benchmarks/examples — read-side
+evidence for the C-rules only), extracts
+:class:`~repro.analysis.contracts.facts.ModuleFacts` per file, and
+assembles a :class:`ProjectIndex` the rules run over.  The D-rules cover
+every scanned file that no ``exclude`` pattern matches (path
+substrings, read from ``[tool.detlint]`` by :func:`load_exclude`).
 
 Incremental cache
 -----------------
@@ -19,7 +22,7 @@ is meant to run on every commit, so facts are memoized in a JSON cache
 
 Cache entries also record the facts schema version — bumping
 ``FACTS_VERSION`` invalidates every entry at once.  A warm run on the
-~190-file tree stats files and loads one JSON document: well under a
+~265-file tree stats files and loads one JSON document: well under a
 second, which is the budget the pre-commit hook holds it to.
 """
 
@@ -35,7 +38,8 @@ from repro.analysis.contracts.facts import (FACTS_VERSION, ClassFact,
                                             ModuleFacts, extract_facts,
                                             parse_error_facts)
 
-__all__ = ["ProjectIndex", "build_project", "DEFAULT_CACHE"]
+__all__ = ["ProjectIndex", "build_project", "load_exclude",
+           "DEFAULT_CACHE"]
 
 #: Cache filename (relative to cwd unless an absolute path is given).
 DEFAULT_CACHE = ".contracts_cache.json"
@@ -85,12 +89,37 @@ def discover_files(roots: Sequence[Path]) -> list[Path]:
     return files
 
 
+def load_exclude(root: Optional[Path] = None) -> tuple[str, ...]:
+    """``[tool.detlint] exclude`` from the nearest ``pyproject.toml``.
+
+    Searches ``root`` (default: cwd) and its parents; returns ``()``
+    when there is no file, no table, or no toml parser (Python 3.10).
+    """
+    try:
+        import tomllib
+    except ImportError:  # pragma: no cover - py3.10 without tomli
+        return ()
+    base = (root or Path.cwd()).resolve()
+    for directory in (base, *base.parents):
+        pyproject = directory / "pyproject.toml"
+        if not pyproject.is_file():
+            continue
+        try:
+            table = tomllib.loads(pyproject.read_text("utf-8"))
+        except (OSError, tomllib.TOMLDecodeError):
+            return ()
+        return tuple(table.get("tool", {}).get("detlint", {})
+                     .get("exclude", ()))
+    return ()
+
+
 @dataclass
 class ProjectIndex:
-    """The assembled whole-program view the contract rules consume."""
+    """The assembled whole-program view the rules consume."""
 
     program: list[ModuleFacts] = field(default_factory=list)
     references: list[ModuleFacts] = field(default_factory=list)
+    exclude: tuple[str, ...] = ()
     files_scanned: int = 0
     files_reparsed: int = 0
     cache_hits: int = 0
@@ -102,6 +131,15 @@ class ProjectIndex:
 
     def modules(self) -> Iterable[ModuleFacts]:
         return self.program
+
+    def scanned(self) -> list[ModuleFacts]:
+        return [*self.program, *self.references]
+
+    def linted(self) -> list[ModuleFacts]:
+        """Files the D-rules cover: every scanned file whose path no
+        ``exclude`` pattern matches."""
+        return [facts for facts in self.scanned()
+                if not any(pat in facts.path for pat in self.exclude)]
 
     def classes(self) -> dict[str, tuple[ModuleFacts, ClassFact]]:
         """``module.ClassName`` (and unique bare-name alias) -> facts."""
@@ -151,7 +189,7 @@ class ProjectIndex:
     def _all_string_counts(self) -> dict[str, int]:
         if self._string_counts is None:
             counts: dict[str, int] = {}
-            for facts in (*self.program, *self.references):
+            for facts in self.scanned():
                 for value, n in facts.strings.items():
                     counts[value] = counts.get(value, 0) + n
             self._string_counts = counts
@@ -228,16 +266,18 @@ def _facts_for_file(path: Path, kind: str, cache_files: dict,
 def build_project(paths: Sequence[str | Path],
                   refs: Sequence[str | Path] = (),
                   cache_path: Optional[str | Path] = DEFAULT_CACHE,
+                  exclude: Sequence[str] = (),
                   ) -> ProjectIndex:
     """Scan program + reference roots into a :class:`ProjectIndex`.
 
     ``cache_path=None`` disables the incremental cache entirely (every
-    file is parsed fresh — the cold-run behaviour).
+    file is parsed fresh — the cold-run behaviour).  ``exclude`` only
+    narrows the D-rules' scope; the cached facts do not depend on it.
     """
     cache_file = Path(cache_path) if cache_path is not None else None
     cache = _load_cache(cache_file)
     files = cache["files"]
-    index = ProjectIndex()
+    index = ProjectIndex(exclude=tuple(exclude))
     live_keys: set[str] = set()
     for path in discover_files([Path(p) for p in paths]):
         path = _normalize(path)

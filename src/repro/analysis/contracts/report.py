@@ -1,13 +1,16 @@
-"""Contract-analysis reporting: JSON, SARIF 2.1.0, and the baseline ratchet.
+"""Analyzer reporting: text-ready findings, JSON, SARIF 2.1.0, and the
+baseline ratchet.
 
 The ratchet (``analysis_baseline.json`` at the repo root) makes the
-analyzer adoptable on a tree with pre-existing debt: every finding's
-:attr:`~repro.analysis.contracts.rules.ContractFinding.fingerprint`
+contract rules adoptable on a tree with pre-existing debt: every contract
+finding's :attr:`~repro.analysis.contracts.rules.Finding.fingerprint`
 (rule + file + stable key, *not* line numbers) is compared against the
 committed baseline — **new** findings fail the run, baselined ones are
 reported but tolerated while they burn down.  Every baseline entry must
 carry a human ``note`` explaining why it is tolerated; unexplained
 entries are themselves reported so the ratchet cannot silently rot.
+Determinism findings (the D-family) never enter the baseline: any
+unsuppressed one fails the run.
 """
 
 from __future__ import annotations
@@ -17,11 +20,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
 
-from repro.analysis.contracts.rules import CONTRACT_RULES, ContractFinding
+from repro.analysis.contracts.rules import RULE_TABLE, Finding
 
-__all__ = ["Baseline", "ContractReport", "to_sarif"]
+__all__ = ["Baseline", "Report", "to_sarif"]
 
-REPORT_VERSION = 1
+#: Report schema version — bump on breaking JSON changes.
+REPORT_VERSION = 2
 BASELINE_VERSION = 1
 
 #: Default committed ratchet file, relative to the working directory.
@@ -46,14 +50,14 @@ class Baseline:
         return cls(entries=entries, path=path.as_posix())
 
     @classmethod
-    def from_findings(cls, findings: Sequence[ContractFinding],
+    def from_findings(cls, findings: Sequence[Finding],
                       notes: Optional[dict[str, str]] = None,
                       previous: Optional["Baseline"] = None) -> "Baseline":
         """Build a baseline from current findings, keeping any notes the
         previous baseline already carried for surviving fingerprints."""
         entries: dict[str, dict] = {}
         for f in findings:
-            if f.suppressed:
+            if f.suppressed or not f.baselinable:
                 continue
             note = ""
             if previous is not None and f.fingerprint in previous.entries:
@@ -70,7 +74,7 @@ class Baseline:
     def save(self, path: str | Path) -> None:
         payload = {
             "version": BASELINE_VERSION,
-            "tool": "repro.analysis.contracts",
+            "tool": "repro.analysis",
             "entries": [self.entries[fp] for fp in sorted(self.entries)],
         }
         Path(path).write_text(json.dumps(payload, indent=2, sort_keys=False)
@@ -83,26 +87,26 @@ class Baseline:
 
 
 @dataclass
-class ContractReport:
-    """Everything one ``--contracts`` run learned."""
+class Report:
+    """Everything one analyzer run learned."""
 
-    findings: list[ContractFinding] = field(default_factory=list)
+    findings: list[Finding] = field(default_factory=list)
     files_scanned: int = 0
     cache_hits: int = 0
     files_reparsed: int = 0
     baseline: Optional[Baseline] = None
 
     @property
-    def unsuppressed(self) -> list[ContractFinding]:
+    def unsuppressed(self) -> list[Finding]:
         return [f for f in self.findings if not f.suppressed]
 
     @property
-    def new_findings(self) -> list[ContractFinding]:
+    def new_findings(self) -> list[Finding]:
         """Unsuppressed findings not absorbed by the baseline."""
         if self.baseline is None:
             return self.unsuppressed
-        return [f for f in self.unsuppressed
-                if f.fingerprint not in self.baseline.entries]
+        return [f for f in self.unsuppressed if not f.baselinable
+                or f.fingerprint not in self.baseline.entries]
 
     @property
     def stale_baseline(self) -> list[str]:
@@ -123,7 +127,7 @@ class ContractReport:
             by_code[f.code] = by_code.get(f.code, 0) + 1
         out = {
             "version": REPORT_VERSION,
-            "tool": "contracts",
+            "tool": "repro.analysis",
             "findings": [f.to_dict() for f in self.findings],
             "summary": {
                 "files_scanned": self.files_scanned,
@@ -156,7 +160,7 @@ class ContractReport:
                           indent=indent)
 
 
-def to_sarif(findings: Sequence[ContractFinding],
+def to_sarif(findings: Sequence[Finding],
              new: Optional[set[str]] = None) -> dict:
     """Render findings as a SARIF 2.1.0 log (one run, one driver).
 
@@ -169,7 +173,7 @@ def to_sarif(findings: Sequence[ContractFinding],
         "name": title.title().replace(" ", "").replace("/", ""),
         "shortDescription": {"text": title},
         "help": {"text": hint},
-    } for code, (title, hint) in sorted(CONTRACT_RULES.items())]
+    } for code, (title, hint) in sorted(RULE_TABLE.items())]
     results = []
     for f in findings:
         if f.suppressed:
@@ -198,7 +202,7 @@ def to_sarif(findings: Sequence[ContractFinding],
         "version": "2.1.0",
         "runs": [{
             "tool": {"driver": {
-                "name": "repro.analysis.contracts",
+                "name": "repro.analysis",
                 "informationUri": "https://example.invalid/repro",
                 "rules": rules,
             }},

@@ -1,15 +1,24 @@
-"""The contract rule family C001–C004: cross-module string-contract checks.
+"""Every rule over the project index: findings, D-rules and C-rules.
 
-These rules run over a :class:`~repro.analysis.contracts.project.ProjectIndex`
-— the whole-program symbol table — rather than one module at a time,
-which is exactly what separates them from detlint's per-file D-rules:
-a publish in ``repro.data.ingest`` is only correct relative to a bind in
-some *other* module, and a metric name is only alive if something on the
-read side (a report, a perf gate, a test) ever mentions it.
+:func:`run_rules` turns a
+:class:`~repro.analysis.contracts.project.ProjectIndex` into one sorted
+list of :class:`Finding`:
+
+- **D000** — a file that does not parse (every other rule is blind to
+  it);
+- **D001–D006** — the per-file determinism violations the fact pass
+  cached (:mod:`repro.analysis.rules`), for every file the ``exclude``
+  list does not match;
+- **C001–C004** — the cross-module string contracts, which need the
+  whole-program view: a publish in ``repro.data.ingest`` is only correct
+  relative to a bind in some *other* module, and a metric name is only
+  alive if something on the read side (a report, a perf gate, a test)
+  ever mentions it.
 
 Rule summary
 ------------
 ====  ========================================================  ========
+D0xx  determinism hazards (see :mod:`repro.analysis.rules`)     error
 C001  publish/subscribe topic mismatch                          error/warn
 C002  metric-name drift (never read) / kind collision           warn/error
 C003  resilience hygiene (no Deadline; bare retry loops)        warn
@@ -32,17 +41,25 @@ from typing import Optional
 from repro.analysis.contracts.facts import (ANY_SEGMENT, ModuleFacts,
                                             TopicFact)
 from repro.analysis.contracts.project import ProjectIndex
+from repro.analysis.rules import ALL_RULES
 from repro.comm.bus import topic_matches
 
-__all__ = ["ContractFinding", "CONTRACT_RULES", "run_contract_rules",
+__all__ = ["Finding", "RULE_TABLE", "PARSE_ERROR_CODE", "run_rules",
            "template_matches"]
 
-#: code -> (title, hint) — the rule table rendered by ``--list-rules``
-#: and embedded in SARIF output.
-CONTRACT_RULES: dict[str, tuple[str, str]] = {
-    "C000": ("unparsable file",
-             "fix the syntax error; the analyzer cannot see contracts in "
-             "a file it cannot parse"),
+#: Pseudo-rule for files that fail to parse: reported as a finding (with
+#: the syntax error's own line) instead of aborting, so one broken file
+#: cannot hide its own debt.
+PARSE_ERROR_CODE = "D000"
+
+#: code -> (title, hint) — the one rule table, rendered by
+#: ``--list-rules`` and embedded in SARIF output.
+RULE_TABLE: dict[str, tuple[str, str]] = {
+    PARSE_ERROR_CODE: (
+        "unparsable file",
+        "fix the syntax error; an unparsable file is invisible to every "
+        "other rule"),
+    **{rule.code: (rule.title, rule.hint) for rule in ALL_RULES},
     "C001": ("publish/subscribe topic mismatch",
              "bind a queue whose pattern matches the published topic (or "
              "delete the dead publish / unmatched binding)"),
@@ -59,13 +76,15 @@ CONTRACT_RULES: dict[str, tuple[str, str]] = {
 
 
 @dataclass(frozen=True)
-class ContractFinding:
-    """One contract violation, located and fingerprinted.
+class Finding:
+    """One rule violation, located and fingerprinted.
 
     ``key`` is the *stable identity* used by the baseline ratchet:
-    line numbers churn on unrelated edits, so the fingerprint is built
-    from the rule code, the file, and a rule-specific key (topic string,
-    metric name, class qualname...) instead.
+    line numbers churn on unrelated edits, so a contract finding's
+    fingerprint is built from the rule code, the file, and a
+    rule-specific key (topic string, metric name, class qualname...)
+    instead.  Determinism findings are never baselined, so their key is
+    simply their ``line:col``.
     """
 
     code: str
@@ -82,6 +101,12 @@ class ContractFinding:
     def fingerprint(self) -> str:
         return f"{self.code}:{self.path}:{self.key}"
 
+    @property
+    def baselinable(self) -> bool:
+        """Only contract findings ride the baseline ratchet; the
+        D-family (parse errors included) stays zero-tolerance."""
+        return self.code.startswith("C")
+
     def to_dict(self) -> dict:
         data = asdict(self)
         data["fingerprint"] = self.fingerprint
@@ -95,10 +120,10 @@ class ContractFinding:
 
 
 def _finding(code: str, severity: str, facts: ModuleFacts, line: int,
-             col: int, message: str, key: str) -> ContractFinding:
-    return ContractFinding(
+             col: int, message: str, key: str) -> Finding:
+    return Finding(
         code=code, severity=severity, path=facts.path, line=line, col=col,
-        message=message, hint=CONTRACT_RULES[code][1], key=key,
+        message=message, hint=RULE_TABLE[code][1], key=key,
         suppressed=facts.suppressed(line, code))
 
 
@@ -153,32 +178,43 @@ def _topics_match(pattern: TopicFact, topic: TopicFact) -> bool:
     return template_matches(pattern.segments, topic.segments)
 
 
-# -- C000: parse errors --------------------------------------------------------
+# -- D000: parse errors --------------------------------------------------------
 
 
-def _check_parse_errors(index: ProjectIndex) -> list[ContractFinding]:
+def _check_parse_errors(index: ProjectIndex) -> list[Finding]:
+    """Every scanned file counts: a broken reference file hides the
+    read-side evidence C002 relies on."""
     out = []
-    for facts in index.modules():
+    for facts in index.scanned():
         if facts.parse_error is not None:
-            out.append(ContractFinding(
-                code="C000", severity="error", path=facts.path,
+            out.append(Finding(
+                code=PARSE_ERROR_CODE, severity="error", path=facts.path,
                 line=int(facts.parse_error["line"]), col=0,
                 message=f"file does not parse: "
                         f"{facts.parse_error['message']}",
-                hint=CONTRACT_RULES["C000"][1], key="parse"))
+                hint=RULE_TABLE[PARSE_ERROR_CODE][1], key="parse"))
     return out
+
+
+# -- D001-D006: determinism violations -----------------------------------------
+
+
+def _check_determinism(index: ProjectIndex) -> list[Finding]:
+    return [_finding(v.code, "error", facts, v.line, v.col, v.message,
+                     key=f"{v.line}:{v.col}")
+            for facts in index.linted() for v in facts.violations]
 
 
 # -- C001: publish/subscribe topic mismatch ------------------------------------
 
 
-def _check_topics(index: ProjectIndex) -> list[ContractFinding]:
+def _check_topics(index: ProjectIndex) -> list[Finding]:
     publishes: list[tuple[ModuleFacts, TopicFact]] = []
     subscribes: list[tuple[ModuleFacts, TopicFact]] = []
     for facts in index.modules():
         publishes.extend((facts, t) for t in facts.publishes)
         subscribes.extend((facts, t) for t in facts.subscribes)
-    out: list[ContractFinding] = []
+    out: list[Finding] = []
 
     for facts, pub in publishes:
         if pub.segments is None:
@@ -217,8 +253,8 @@ def _check_topics(index: ProjectIndex) -> list[ContractFinding]:
 # -- C002: metric-name drift ---------------------------------------------------
 
 
-def _check_metrics(index: ProjectIndex) -> list[ContractFinding]:
-    out: list[ContractFinding] = []
+def _check_metrics(index: ProjectIndex) -> list[Finding]:
+    out: list[Finding] = []
     emits: dict[str, list[tuple[ModuleFacts, str, int, int, bool]]] = {}
     for facts in index.modules():
         for m in facts.metrics:
@@ -262,8 +298,8 @@ def _check_metrics(index: ProjectIndex) -> list[ContractFinding]:
 # -- C003: resilience hygiene --------------------------------------------------
 
 
-def _check_resilience(index: ProjectIndex) -> list[ContractFinding]:
-    out: list[ContractFinding] = []
+def _check_resilience(index: ProjectIndex) -> list[Finding]:
+    out: list[Finding] = []
     for facts in index.modules():
         if facts.module.startswith("repro.resilience"):
             continue            # the resilience kernel is the sanctioned home
@@ -325,7 +361,7 @@ def _has_merge_transitive(index: ProjectIndex, qual: str,
     return False
 
 
-def _check_shard_merge(index: ProjectIndex) -> list[ContractFinding]:
+def _check_shard_merge(index: ProjectIndex) -> list[Finding]:
     table = index.classes()
     reached: dict[str, int] = {}
     frontier: list[tuple[str, int]] = []
@@ -349,7 +385,7 @@ def _check_shard_merge(index: ProjectIndex) -> list[ContractFinding]:
             if inst_qual is not None:
                 frontier.append((inst_qual, depth + 1))
 
-    out: list[ContractFinding] = []
+    out: list[Finding] = []
     for qual in sorted(reached):
         entry = table.get(qual)
         if entry is None:
@@ -373,20 +409,22 @@ def _check_shard_merge(index: ProjectIndex) -> list[ContractFinding]:
 # -- entry point ---------------------------------------------------------------
 
 
-def run_contract_rules(index: ProjectIndex,
-                       select: tuple[str, ...] = ()) -> list[ContractFinding]:
-    """Run every C-rule (or the selected subset) over the project."""
-    checks = {
-        "C000": _check_parse_errors,
-        "C001": _check_topics,
-        "C002": _check_metrics,
-        "C003": _check_resilience,
-        "C004": _check_shard_merge,
-    }
-    codes = [c for c in sorted(checks) if not select or c in select
-             or c == "C000"]
-    findings: list[ContractFinding] = []
-    for code in codes:
-        findings.extend(checks[code](index))
+_CHECKS = (_check_parse_errors, _check_determinism, _check_topics,
+           _check_metrics, _check_resilience, _check_shard_merge)
+
+
+def run_rules(index: ProjectIndex,
+              select: tuple[str, ...] = ()) -> list[Finding]:
+    """Run every rule (or the selected codes) over the project.
+
+    Parse errors are reported whatever ``select`` says; an unknown code
+    in ``select`` raises ``ValueError``.
+    """
+    unknown = [c for c in select if c not in RULE_TABLE]
+    if unknown:
+        raise ValueError(f"unknown rule code(s): {', '.join(unknown)}")
+    findings = [f for check in _CHECKS for f in check(index)
+                if not select or f.code in select
+                or f.code == PARSE_ERROR_CODE]
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.code, f.key))
     return findings

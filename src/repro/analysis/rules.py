@@ -1,10 +1,11 @@
-"""The detlint rule set: AST checks for determinism hazards (D001–D006).
+"""The determinism rule set: AST checks for determinism hazards (D001–D006).
 
 Each rule is a small class with a stable code, a one-line title, and a
 fix hint.  Rules receive a parsed module plus a :class:`ModuleContext`
-(import-alias resolution) and yield :class:`Violation` objects; the
-engine (:mod:`repro.analysis.engine`) handles pragmas, configuration,
-reporting, and exit codes.
+(import-alias resolution) and yield :class:`Violation` objects.  The
+fact pass (:func:`repro.analysis.contracts.facts.extract_facts`) runs
+them on the tree it has already parsed and caches the violations; the
+project rules turn them into findings, apply pragmas, and report.
 
 The rules are deliberately *syntactic*: no type inference, no cross-file
 analysis.  That keeps them fast, dependency-free (stdlib ``ast`` only),
@@ -29,9 +30,9 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
-__all__ = ["Violation", "Rule", "ModuleContext", "ALL_RULES", "RULES_BY_CODE"]
+__all__ = ["Violation", "Rule", "ModuleContext", "ALL_RULES", "check_module"]
 
 
 @dataclass(frozen=True)
@@ -109,7 +110,7 @@ class Rule:
 
 # -- helpers -------------------------------------------------------------------
 
-_MUTATING_METHODS = frozenset({
+MUTATING_METHODS = frozenset({
     "append", "appendleft", "add", "update", "setdefault", "pop", "popitem",
     "insert", "extend", "extendleft", "remove", "discard", "clear",
 })
@@ -148,15 +149,12 @@ def _is_mutable_literal(value: ast.expr, ctx: ModuleContext) -> bool:
     return False
 
 
-def _callee_terminal(value: ast.expr) -> Optional[str]:
-    """The terminal identifier of a Call's callee (``pkg.Foo()`` -> Foo)."""
-    if not isinstance(value, ast.Call):
-        return None
-    func = value.func
-    while isinstance(func, ast.Attribute):
-        return func.attr
-    if isinstance(func, ast.Name):
-        return func.id
+def call_terminal(call: ast.Call) -> Optional[str]:
+    """The terminal identifier of a call's callee (``pkg.Foo()`` -> Foo)."""
+    if isinstance(call.func, ast.Attribute):
+        return call.func.attr
+    if isinstance(call.func, ast.Name):
+        return call.func.id
     return None
 
 
@@ -188,7 +186,7 @@ def _name_mutations(module: ast.Module, name: str) -> Iterator[ast.AST]:
                         yield node
             elif isinstance(node, ast.Call) \
                     and isinstance(node.func, ast.Attribute) \
-                    and node.func.attr in _MUTATING_METHODS \
+                    and node.func.attr in MUTATING_METHODS \
                     and isinstance(node.func.value, ast.Name) \
                     and node.func.value.id == name:
                 yield node
@@ -248,7 +246,7 @@ class ModuleStateFactory(Rule):
                               f"{name!r}: ids become process-ordered, not "
                               f"world-ordered")
                     continue
-                terminal = _callee_terminal(value)
+                terminal = call_terminal(value)
                 if terminal and any(f in terminal.lower()
                                     for f in _COUNTERISH_FRAGMENTS) \
                         and not _is_mutable_literal(value, ctx):
@@ -555,16 +553,14 @@ ALL_RULES: tuple[Rule, ...] = (
     UnsanctionedProcessFanout(),
 )
 
-RULES_BY_CODE: dict[str, Rule] = {r.code: r for r in ALL_RULES}
-
 
 def check_module(module: ast.Module,
-                 rules: Iterable[Rule] = ALL_RULES) -> list[Violation]:
-    """Run ``rules`` over one parsed module; violations in (line, col,
+                 ctx: Optional[ModuleContext] = None) -> list[Violation]:
+    """Run every rule over one parsed module; violations in (line, col,
     code) order."""
-    ctx = ModuleContext(module)
+    ctx = ctx or ModuleContext(module)
     out: list[Violation] = []
-    for rule in rules:
+    for rule in ALL_RULES:
         out.extend(rule.check(module, ctx))
     out.sort(key=lambda v: (v.line, v.col, v.code))
     return out

@@ -4,10 +4,8 @@ The primary API is :class:`CampaignMetrics` — derive one per campaign
 from a :class:`~repro.core.report.CampaignReport` via
 :meth:`~repro.core.report.CampaignReport.metrics` and compare arms with
 :meth:`~CampaignMetrics.speedup_vs` / :meth:`~CampaignMetrics.reduction_vs`.
-The original module-level functions remain as thin delegating wrappers,
-so existing call sites keep working unchanged, and
-:meth:`CampaignMetrics.from_result` survives as a deprecated wrapper
-over the report path.
+The original module-level functions remain as thin delegating wrappers
+over the report path, so existing call sites keep working unchanged.
 
 All comparisons are ``None``-propagating: a campaign that never reached
 its target yields ``None`` (reported as "DNF") rather than a fabricated
@@ -16,7 +14,6 @@ ratio.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -52,21 +49,6 @@ class CampaignMetrics:
     best_value: Optional[float]
     target: Optional[float] = None
 
-    @classmethod
-    def from_result(cls, result: CampaignResult,
-                    target: Optional[float] = None) -> "CampaignMetrics":
-        """Deprecated: use ``result.report(target=...).metrics()``.
-
-        The derived-metric computation now lives in
-        :meth:`repro.core.report.CampaignReport.from_result`; this
-        wrapper delegates there and keeps old call sites working.
-        """
-        warnings.warn(
-            "CampaignMetrics.from_result() is deprecated; build a "
-            "CampaignReport (result.report(target=...).metrics()) instead",
-            DeprecationWarning, stacklevel=2)
-        return _metrics_for(result, target)
-
     # -- arm-vs-arm comparisons -------------------------------------------
 
     def speedup_vs(self, baseline: "CampaignMetrics | float | None",
@@ -86,7 +68,7 @@ class CampaignMetrics:
 
 def _metrics_for(result: CampaignResult,
                  target: Optional[float]) -> "CampaignMetrics":
-    """Shared (non-warning) report-path computation for the wrappers."""
+    """Shared report-path computation for the module-level helpers."""
     from repro.core.report import CampaignReport
     return CampaignReport.from_result(result, target=target).metrics()
 

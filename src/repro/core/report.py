@@ -17,13 +17,14 @@ Each was assembled by hand at its call site, and none agreed on keys.
 - :meth:`to_dict` is the stable wire/JSON form (a superset of the old
   ``run_summary`` keys, including the per-experiment ``decisions`` rows
   that pin the full decision sequence);
-- :meth:`summary` reproduces the old ``CampaignResult.summary()`` shape
-  for printing;
+- :meth:`summary` is the compact printable dict;
 - :meth:`metrics` yields a :class:`~repro.core.metrics.CampaignMetrics`
   for arm-vs-arm comparisons.
 
-The three legacy entry points still work as thin delegating wrappers
-that emit :class:`DeprecationWarning`.
+The three legacy entry points are gone; each of them is one call on a
+report (``result.report().summary()``,
+``result.report(target=...).metrics()``,
+``built.run_report(spec).to_dict()``).
 """
 
 from __future__ import annotations
@@ -181,8 +182,8 @@ class CampaignReport:
         }
 
     def summary(self) -> dict[str, Any]:
-        """The compact printable dict ``CampaignResult.summary`` used to
-        hand-roll (same keys, same rounding)."""
+        """The compact printable dict: counts, correctness, best value
+        and duration (rounded), stop reason and counters."""
         return {
             "campaign": self.campaign,
             "experiments": self.n_experiments,

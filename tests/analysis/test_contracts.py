@@ -1,6 +1,7 @@
-"""Contract-analyzer tests: facts, rules on the seeded fixture tree,
-the incremental cache, the baseline ratchet, SARIF, and the CLI."""
+"""Contract-rule tests: facts, rules on the seeded fixture tree, the
+incremental cache, the baseline ratchet, SARIF, and the CLI."""
 
+import ast
 import json
 import time
 from pathlib import Path
@@ -8,10 +9,9 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.__main__ import main
-from repro.analysis.contracts import (Baseline, ContractReport,
-                                      analyze_contracts, build_project,
-                                      extract_facts, run_contract_rules,
-                                      template_matches)
+from repro.analysis.contracts import (Baseline, Report, analyze,
+                                      build_project, extract_facts,
+                                      run_rules, template_matches)
 from repro.analysis.contracts.facts import ANY_SEGMENT
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -19,8 +19,8 @@ FIXTURES = Path(__file__).parent / "fixtures" / "contracts_demo"
 
 
 def fixture_findings(select=()):
-    return analyze_contracts([FIXTURES], refs=(), cache_path=None,
-                             select=select).findings
+    return analyze([FIXTURES], refs=(), cache_path=None,
+                   select=select).findings
 
 
 # -- template matching --------------------------------------------------------
@@ -89,15 +89,32 @@ def test_fixture_correct_twins_stay_clean():
 
 def test_select_narrows_rules():
     findings = fixture_findings(select=("C004",))
-    assert findings and all(f.code in ("C000", "C004") for f in findings)
+    assert findings and all(f.code in ("D000", "C004") for f in findings)
 
 
-def test_unparsable_file_is_a_c000_finding(tmp_path):
+def test_unparsable_file_is_a_single_d000_finding(tmp_path):
+    # A broken file yields exactly one finding, whatever rule family
+    # it blinds.
     (tmp_path / "broken.py").write_text("def f(:\n", "utf-8")
-    report = analyze_contracts([tmp_path], refs=(), cache_path=None)
+    report = analyze([tmp_path], refs=(), cache_path=None)
     (finding,) = report.findings
-    assert finding.code == "C000" and finding.line == 1
+    assert finding.code == "D000" and finding.line == 1
     assert report.exit_code == 1
+
+
+def test_cold_run_parses_each_file_once(monkeypatch):
+    parsed = []
+    real_parse = ast.parse
+
+    def counting_parse(source, *args, **kwargs):
+        parsed.append(kwargs.get("filename"))
+        return real_parse(source, *args, **kwargs)
+
+    monkeypatch.setattr(ast, "parse", counting_parse)
+    index = build_project([FIXTURES], cache_path=None)
+    findings = run_rules(index)
+    assert len(parsed) == len(set(parsed)) == index.files_scanned > 0
+    assert findings
 
 
 # -- pragma suppression -------------------------------------------------------
@@ -107,7 +124,7 @@ def test_pragma_suppresses_contract_finding(tmp_path):
         "def emit(registry):\n"
         "    registry.counter('x.total').inc()"
         "  # detlint: ignore[C002] write-only audit tally\n", "utf-8")
-    report = analyze_contracts([tmp_path], refs=(), cache_path=None)
+    report = analyze([tmp_path], refs=(), cache_path=None)
     (finding,) = report.findings
     assert finding.suppressed
     assert report.exit_code == 0
@@ -121,10 +138,22 @@ def test_pragma_on_first_line_covers_wrapped_statement(tmp_path):
         "    tally = (  # detlint: ignore[C002] dashboard-only\n"
         "        registry.counter('x.lonely_total'))\n"
         "    tally.inc()\n", "utf-8")
-    report = analyze_contracts([tmp_path], refs=(), cache_path=None)
+    report = analyze([tmp_path], refs=(), cache_path=None)
     (finding,) = report.findings
     assert finding.line == 3
     assert finding.suppressed
+
+
+def test_trailing_pragma_does_not_leak_to_next_line(tmp_path):
+    # A pragma trailing code covers that line only; only a comment-only
+    # line reaches down to the statement below it.
+    (tmp_path / "m.py").write_text(
+        "def emit(registry):\n"
+        "    tally = 0  # detlint: ignore[C002] covers this line only\n"
+        "    registry.counter('x.total').inc()\n", "utf-8")
+    (finding,) = analyze([tmp_path], refs=(), cache_path=None).findings
+    assert finding.code == "C002" and finding.line == 3
+    assert not finding.suppressed
 
 
 def test_comment_above_wrapped_statement_covers_it(tmp_path):
@@ -134,7 +163,7 @@ def test_comment_above_wrapped_statement_covers_it(tmp_path):
         "    tally = (\n"
         "        registry.counter('x.lonely_total'))\n"
         "    tally.inc()\n", "utf-8")
-    report = analyze_contracts([tmp_path], refs=(), cache_path=None)
+    report = analyze([tmp_path], refs=(), cache_path=None)
     (finding,) = report.findings
     assert finding.line == 4
     assert finding.suppressed
@@ -150,8 +179,8 @@ def test_cache_warm_run_parses_nothing(tmp_path):
     assert warm.files_reparsed == 0
     assert warm.cache_hits == warm.files_scanned == cold.files_scanned
     # Same facts either way.
-    assert {f.key for f in run_contract_rules(warm)} == \
-        {f.key for f in run_contract_rules(cold)}
+    assert {f.key for f in run_rules(warm)} == \
+        {f.key for f in run_rules(cold)}
 
 
 def test_cache_reparses_only_changed_file(tmp_path):
@@ -172,9 +201,11 @@ def test_warm_full_tree_run_is_subsecond(tmp_path):
     build_project([src], cache_path=cache)
     started = time.perf_counter()
     index = build_project([src], cache_path=cache)
-    run_contract_rules(index)
+    findings = run_rules(index)
     assert time.perf_counter() - started < 1.0
     assert index.files_reparsed == 0
+    # The D-rules ran too, from cached violations alone.
+    assert {"D001", "D002", "D006"} <= {f.code for f in findings}
 
 
 # -- baseline ratchet ---------------------------------------------------------
@@ -186,7 +217,7 @@ def test_baseline_absorbs_known_findings_and_flags_new(tmp_path):
                          for f in findings})
     path = tmp_path / "baseline.json"
     baseline.save(path)
-    report = analyze_contracts([FIXTURES], refs=(), cache_path=None,
+    report = analyze([FIXTURES], refs=(), cache_path=None,
                                baseline_path=path)
     assert report.new_findings == []
     assert report.exit_code == 0
@@ -196,7 +227,7 @@ def test_baseline_absorbs_known_findings_and_flags_new(tmp_path):
     victim = sorted(shrunk.entries)[0]
     del shrunk.entries[victim]
     shrunk.save(path)
-    report = analyze_contracts([FIXTURES], refs=(), cache_path=None,
+    report = analyze([FIXTURES], refs=(), cache_path=None,
                                baseline_path=path)
     assert [f.fingerprint for f in report.new_findings] == [victim]
     assert report.exit_code == 1
@@ -210,7 +241,7 @@ def test_baseline_reports_stale_and_unexplained_entries(tmp_path):
         "key": "x", "severity": "warn", "note": "historical"}
     path = tmp_path / "baseline.json"
     baseline.save(path)
-    report = analyze_contracts([FIXTURES], refs=(), cache_path=None,
+    report = analyze([FIXTURES], refs=(), cache_path=None,
                                baseline_path=path)
     assert report.stale_baseline == ["C999:gone.py:x"]
     assert len(report.baseline.unexplained()) == len(findings)
@@ -230,10 +261,18 @@ def test_committed_baseline_has_no_unexplained_entries():
     assert baseline.unexplained() == []
 
 
+def test_committed_baseline_has_no_determinism_entries():
+    # D findings are zero-tolerance: they must be fixed or carry a
+    # pragma, never ratcheted.
+    baseline = Baseline.load(REPO_ROOT / "analysis_baseline.json")
+    assert not [e for e in baseline.entries.values()
+                if e["code"].startswith("D")]
+
+
 # -- SARIF --------------------------------------------------------------------
 
 def test_sarif_output_shape():
-    report = ContractReport(findings=fixture_findings())
+    report = Report(findings=fixture_findings())
     sarif = json.loads(report.to_sarif())
     assert sarif["version"] == "2.1.0"
     (run,) = sarif["runs"]
@@ -251,7 +290,7 @@ def test_sarif_marks_baselined_results_unchanged(tmp_path):
     findings = fixture_findings()
     path = tmp_path / "baseline.json"
     Baseline.from_findings(findings[:1]).save(path)
-    report = analyze_contracts([FIXTURES], refs=(), cache_path=None,
+    report = analyze([FIXTURES], refs=(), cache_path=None,
                                baseline_path=path)
     states = {r["partialFingerprints"]["contractKey/v1"]:
               r["baselineState"]
@@ -263,7 +302,7 @@ def test_sarif_marks_baselined_results_unchanged(tmp_path):
 # -- CLI ----------------------------------------------------------------------
 
 def test_cli_exits_nonzero_on_seeded_fixture(tmp_path, capsys):
-    code = main(["--contracts", str(FIXTURES), "--no-baseline",
+    code = main([str(FIXTURES), "--no-baseline",
                  "--cache", str(tmp_path / "c.json"), "--refs", ""])
     assert code == 1
     out = capsys.readouterr().out
@@ -274,26 +313,26 @@ def test_cli_exits_zero_on_clean_tree(tmp_path, capsys):
     clean = tmp_path / "proj"
     clean.mkdir()
     (clean / "m.py").write_text("def f():\n    return 1\n", "utf-8")
-    code = main(["--contracts", str(clean), "--no-baseline", "--no-cache",
+    code = main([str(clean), "--no-baseline", "--no-cache",
                  "--refs", ""])
     assert code == 0
 
 
 def test_cli_json_and_sarif_outputs(tmp_path, capsys):
     out_json = tmp_path / "report.json"
-    main(["--contracts", str(FIXTURES), "--no-baseline", "--no-cache",
+    main([str(FIXTURES), "--no-baseline", "--no-cache",
           "--refs", "", "--format", "json", "--output", str(out_json)])
     data = json.loads(out_json.read_text("utf-8"))
     assert data["summary"]["findings"] > 0
     out_sarif = tmp_path / "report.sarif"
-    main(["--contracts", str(FIXTURES), "--no-baseline", "--no-cache",
+    main([str(FIXTURES), "--no-baseline", "--no-cache",
           "--refs", "", "--format", "sarif", "--output", str(out_sarif)])
     sarif = json.loads(out_sarif.read_text("utf-8"))
     assert sarif["version"] == "2.1.0"
 
 
 def test_cli_unknown_path_is_usage_error(capsys):
-    assert main(["--contracts", "definitely/not/here"]) == 2
+    assert main(["definitely/not/here"]) == 2
 
 
 def test_cli_update_baseline_roundtrip(tmp_path, monkeypatch, capsys):
@@ -304,21 +343,18 @@ def test_cli_update_baseline_roundtrip(tmp_path, monkeypatch, capsys):
         "def emit(registry):\n"
         "    registry.counter('z.total').inc()\n", "utf-8")
     baseline = tmp_path / "baseline.json"
-    assert main(["--contracts", str(proj), "--no-cache", "--refs", "",
+    assert main([str(proj), "--no-cache", "--refs", "",
                  "--baseline", str(baseline)]) == 1
-    assert main(["--contracts", str(proj), "--no-cache", "--refs", "",
+    assert main([str(proj), "--no-cache", "--refs", "",
                  "--baseline", str(baseline), "--update-baseline"]) == 0
-    assert main(["--contracts", str(proj), "--no-cache", "--refs", "",
+    assert main([str(proj), "--no-cache", "--refs", "",
                  "--baseline", str(baseline)]) == 0
 
 
 # -- the repo's own contract hygiene ------------------------------------------
 
-def test_repo_tree_has_no_new_findings(tmp_path):
-    report = analyze_contracts(
-        [REPO_ROOT / "src"],
-        refs=[REPO_ROOT / p for p in ("tests", "benchmarks", "examples")],
-        baseline_path=REPO_ROOT / "analysis_baseline.json",
-        cache_path=tmp_path / "cache.json")
-    assert report.new_findings == []
-    assert report.stale_baseline == []
+def test_repo_tree_has_no_new_findings(repo_report):
+    assert repo_report.new_findings == []
+    assert repo_report.stale_baseline == []
+    assert {f.fingerprint for f in repo_report.unsuppressed} == \
+        set(repo_report.baseline.entries)

@@ -2,15 +2,20 @@
 
 import pytest
 
-from repro.analysis import lint_source
+from repro.analysis.contracts import extract_facts
+
+
+def violations(source, path="snippet.py"):
+    """The D-rule output of the fact pass, before pragmas."""
+    return extract_facts(source, path, "snippet").violations
 
 
 def codes(source, path="snippet.py"):
-    return [f.code for f in lint_source(source, path)]
+    return [v.code for v in violations(source, path)]
 
 
 def lines(source, code):
-    return [f.line for f in lint_source(source) if f.code == code]
+    return [v.line for v in violations(source) if v.code == code]
 
 
 # -- D001: module-level id/sequence factories ---------------------------------
@@ -283,6 +288,6 @@ def test_findings_sorted_by_position():
            "_ids = itertools.count()\n"
            "def f():\n"
            "    return time.time()\n")
-    found = lint_source(src)
+    found = violations(src)
     assert [f.code for f in found] == ["D001", "D002"]
     assert found[0].line < found[1].line

@@ -103,21 +103,7 @@ def test_metrics_view_supports_arm_comparisons():
     assert m.reduction_vs(baseline) == pytest.approx(1.0 - 3.0 / 9.0)
 
 
-# -- deprecated wrappers -------------------------------------------------------
-
-def test_result_summary_warns_and_matches_report():
-    result = _result()
-    with pytest.warns(DeprecationWarning, match="CampaignResult.summary"):
-        legacy = result.summary()
-    assert legacy == result.report().summary()
-
-
-def test_metrics_from_result_warns_and_matches_report():
-    result = _result(target=0.5)
-    with pytest.warns(DeprecationWarning, match="from_result"):
-        legacy = CampaignMetrics.from_result(result, target=0.5)
-    assert legacy == result.report(target=0.5).metrics()
-
+# -- report-path helpers stay silent -------------------------------------------
 
 def test_module_level_metric_helpers_stay_silent():
     from repro.core.metrics import experiments_to_target, time_to_target
