@@ -27,8 +27,7 @@ def _secured_world(seed=5, n_sites=4):
     sim = Simulator()
     rngs = RngRegistry(seed)
     metrics = MetricsRegistry()
-    topo = Topology.national_lab_testbed(n_sites, latency_s=0.02,
-                                         jitter_s=0.004)
+    topo = Topology.national_lab_testbed(n_sites, jitter_s=0.004)
     net = Network(sim, topo, rngs.stream("net"), FaultInjector(sim),
                   metrics=metrics)
     fabric = TrustFabric()
@@ -75,8 +74,7 @@ def _failover(heartbeat_s: float):
         srv.register("act", lambda p: p)
         FailoverGroup.install_health_endpoint(srv)
         replicas.append(srv)
-    group = FailoverGroup(sim, replicas, heartbeat_interval_s=heartbeat_s,
-                          heartbeat_misses=2)
+    group = FailoverGroup(sim, replicas, heartbeat_interval_s=heartbeat_s)
     monitor_client = RpcClient(sim, net, site="site-0")
     group.start_monitor(monitor_client)
 

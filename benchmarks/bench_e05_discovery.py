@@ -27,12 +27,11 @@ FLEET_SIZES = (10, 50, 200)
 def _world(n_sites=5, seed=3):
     sim = Simulator()
     rngs = RngRegistry(seed)
-    topo = Topology.national_lab_testbed(n_sites, latency_s=0.02,
-                                         jitter_s=0.002)
+    topo = Topology.national_lab_testbed(n_sites)
     net = Network(sim, topo, rngs.stream("net"), FaultInjector(sim))
     registry = ServiceRegistry(sim)
     daemons = {f"site-{i}": DnsSd(sim, net, registry, "site-0",
-                                  f"site-{i}", cache_ttl_s=5.0)
+                                  f"site-{i}")
                for i in range(n_sites)}
     return sim, rngs, net, registry, daemons
 

@@ -32,7 +32,7 @@ def build():
             .with_tracing()          # span-tree tracing of every campaign
             .with_knowledge()        # cross-site knowledge sharing (M9)
             .site("site-0", landscape=QuantumDotLandscape(seed=7))
-            .with_instruments(synthesis="flow", vendor="kelvin-sci")
+            .with_instruments(vendor="kelvin-sci")
             .site("site-1", landscape=QuantumDotLandscape(seed=8))
             .build())
 

@@ -19,8 +19,7 @@ def main() -> None:
     built = (Testbed(seed=42)
              .site("site-0")
              .with_landscape(QuantumDotLandscape(seed=7))
-             .with_instruments(synthesis="flow",   # fluidic SDL
-                               vendor="kelvin-sci")  # dialect hidden by HAL
+             .with_instruments(vendor="kelvin-sci")  # dialect hidden by HAL
              .with_planner(mode="hierarchical")   # LLM orchestrates, BO asks
              .with_verification()
              .build())

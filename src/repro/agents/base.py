@@ -163,11 +163,11 @@ class Agent:
         self._handlers[performative] = handler
 
     def send(self, recipient: str, performative: Performative,
-             payload: Any = None, conversation_id: str = ""):
+             payload: Any = None):
         """Generator: send a message through the runtime."""
         msg = Message(performative=performative, sender=self.name,
                       recipient=recipient, payload=payload,
-                      conversation_id=conversation_id, reply_to=self.name)
+                      reply_to=self.name)
         self.stats["sent"] += 1
         ok = yield from self.runtime.deliver(msg)
         return ok

@@ -26,22 +26,21 @@ class EvaluatorAgent(Agent):
         Optional objective value that ends the campaign when reached.
     patience:
         Experiments without meaningful improvement before convergence is
-        declared (``None`` disables early stopping).
-    min_improvement:
-        Improvement below this counts as "no progress".
+        declared (``None`` disables early stopping).  An improvement below
+        :attr:`min_improvement` counts as "no progress".
     """
 
     role = "evaluator"
+    #: Improvement below this counts as "no progress" toward patience.
+    min_improvement = 1e-3
 
     def __init__(self, sim, name: str, site: str, runtime: AgentRuntime,
                  planner: PlannerAgent, *, target: Optional[float] = None,
-                 patience: Optional[int] = None,
-                 min_improvement: float = 1e-3, **kw: Any) -> None:
+                 patience: Optional[int] = None, **kw: Any) -> None:
         super().__init__(sim, name, site, runtime, **kw)
         self.planner = planner
         self.target = target
         self.patience = patience
-        self.min_improvement = min_improvement
         self.best_value: Optional[float] = None
         self.best_params: Optional[dict[str, Any]] = None
         self._stale = 0

@@ -17,13 +17,18 @@ honesty — exactly the trade the E-tests quantify.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Optional
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.labsci.landscapes import Landscape
     from repro.sim.kernel import Simulator
+
+#: Attempts at or below this quantile of outcomes are never published.
+PUBLICATION_QUANTILE = 0.5
+#: Reading/extraction cost per reviewed paper.
+REVIEW_TIME_PER_PAPER_S = 300.0
 
 
 @dataclass(frozen=True)
@@ -53,9 +58,8 @@ class SyntheticLiterature:
     rng:
         Corpus generation stream.
     n_papers:
-        Corpus size (after publication filtering).
-    publication_quantile:
-        Only attempts above this quantile of attempted outcomes get
+        Corpus size (after publication filtering).  Only attempts above
+        the :data:`PUBLICATION_QUANTILE` of attempted outcomes get
         published (the file-drawer effect).
     optimism_bias:
         Mean fractional inflation of reported over replicable values.
@@ -64,7 +68,7 @@ class SyntheticLiterature:
     """
 
     def __init__(self, landscape: "Landscape", rng: np.random.Generator, *,
-                 n_papers: int = 40, publication_quantile: float = 0.5,
+                 n_papers: int = 40,
                  optimism_bias: float = 0.0, noise: float = 0.05) -> None:
         self.landscape = landscape
         self.optimism_bias = optimism_bias
@@ -73,7 +77,7 @@ class SyntheticLiterature:
             params = landscape.space.sample(rng)
             attempts.append((params, landscape.objective_value(params)))
         attempts.sort(key=lambda t: t[1])
-        cut = int(len(attempts) * publication_quantile)
+        cut = int(len(attempts) * PUBLICATION_QUANTILE)
         published = attempts[cut:][-n_papers:]
         self.corpus: list[PublishedResult] = []
         for i, (params, truth) in enumerate(published):
@@ -84,16 +88,9 @@ class SyntheticLiterature:
                 params=tuple(sorted(params.items())),
                 reported_value=float(reported), true_value=float(truth)))
 
-    def search(self, top_k: int = 10,
-               chemistry: Optional[tuple[str, ...]] = None
-               ) -> list[PublishedResult]:
-        """The best-reported prior results (optionally one chemistry)."""
-        hits = self.corpus
-        if chemistry is not None:
-            hits = [p for p in hits
-                    if self.landscape.space.discrete_key(
-                        p.params_dict()) == chemistry]
-        return sorted(hits, key=lambda p: -p.reported_value)[:top_k]
+    def search(self, top_k: int = 10) -> list[PublishedResult]:
+        """The best-reported prior results."""
+        return sorted(self.corpus, key=lambda p: -p.reported_value)[:top_k]
 
     def mean_inflation(self) -> float:
         if not self.corpus:
@@ -109,9 +106,8 @@ class LiteratureAgent:
     sim:
         Kernel (reviewing costs time).
     literature:
-        The corpus to review.
-    review_time_per_paper_s:
-        Reading/extraction cost per paper.
+        The corpus to review; reading and extraction cost
+        :data:`REVIEW_TIME_PER_PAPER_S` per paper.
     discount:
         Multiplier applied to reported values before absorption — a
         skeptical reviewer discounts the record (the knob that controls
@@ -119,11 +115,9 @@ class LiteratureAgent:
     """
 
     def __init__(self, sim: "Simulator", literature: SyntheticLiterature, *,
-                 review_time_per_paper_s: float = 300.0,
                  discount: float = 1.0) -> None:
         self.sim = sim
         self.literature = literature
-        self.review_time_per_paper_s = review_time_per_paper_s
         self.discount = discount
         self.stats = {"papers_reviewed": 0, "claims_absorbed": 0}
 
@@ -136,7 +130,7 @@ class LiteratureAgent:
         modern SDL will not run.
         """
         hits = self.literature.search(top_k=top_k)
-        yield self.sim.timeout(self.review_time_per_paper_s * len(hits))
+        yield self.sim.timeout(REVIEW_TIME_PER_PAPER_S * len(hits))
         absorbed = []
         for paper in hits:
             self.stats["papers_reviewed"] += 1

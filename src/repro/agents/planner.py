@@ -171,12 +171,21 @@ class PlannerAgent(Agent):
         self.optimizer.tell(params, objective)
 
     def _posterior(self, params: Mapping[str, Any]):
+        """Surrogate (mean, std) at ``params``, or ``(None, None)``.
+
+        Fails open: a posterior error leaves the plan without an expected
+        objective.  Each error is counted in
+        ``plan_stats["posterior_errors"]``; the key appears on the first
+        error, so error-free campaign counters keep their shape.
+        """
         posterior = getattr(self.optimizer, "posterior_at", None)
         if posterior is None:
             return None, None
         try:
             mean, std = posterior(params)
         except Exception:
+            self.plan_stats["posterior_errors"] = \
+                self.plan_stats.get("posterior_errors", 0) + 1
             return None, None
         if std == float("inf"):
             return None, None

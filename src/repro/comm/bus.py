@@ -14,12 +14,14 @@ from typing import TYPE_CHECKING, Any, Optional
 
 from repro.comm.message import Envelope, Message
 from repro.obs.metrics import MetricsRegistry
-from repro.resilience import RetryPolicy
 from repro.sim.resources import Store
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.net.transport import Network
     from repro.sim.kernel import Simulator
+
+#: Broker-side routing cost per published message.
+ROUTING_DELAY_S = 0.0005
 
 
 class BrokerDown(Exception):
@@ -171,22 +173,19 @@ class RouteIndex:
 class Queue:
     """A named broker-side queue with ack/nack redelivery semantics.
 
-    Redelivery follows a :class:`~repro.resilience.RetryPolicy`: the
-    attempt budget decides when a message is dead-lettered, and any
-    non-zero backoff in the policy delays the requeue on the simulated
-    clock (the default policy redelivers immediately, the classic AMQP
-    behaviour).
+    A nacked message is redelivered immediately, the classic AMQP
+    behaviour, until ``max_attempts`` deliveries dead-letter it.
     """
 
     def __init__(self, sim: "Simulator", name: str,
                  max_attempts: int = 5,
                  metrics: Optional[MetricsRegistry] = None,
-                 site: str = "",
-                 redelivery: Optional[RetryPolicy] = None) -> None:
+                 site: str = "") -> None:
+        if max_attempts < 1:
+            raise ValueError("need max_attempts >= 1")
         self.sim = sim
         self.name = name
-        self.redelivery = redelivery or RetryPolicy.immediate(max_attempts)
-        self.max_attempts = self.redelivery.max_attempts
+        self.max_attempts = max_attempts
         self._store: Store = Store(sim)
         self._unacked: dict[int, Envelope] = {}
         self.dead_letters: list[Envelope] = []
@@ -228,17 +227,12 @@ class Queue:
         """Reject; requeue for redelivery (or dead-letter after too many)."""
         self._unacked.pop(envelope.message.msg_id, None)
         self.stats["nacked"] += 1
-        if not requeue or not self.redelivery.should_retry(envelope.attempt):
+        if not requeue or envelope.attempt >= self.max_attempts:
             self.dead_letters.append(envelope)
             self.stats["dead"] += 1
             return
-        delay = self.redelivery.delay(envelope.attempt)
         envelope.attempt += 1
-        if delay > 0:
-            self.sim.schedule_callback(delay,
-                                       lambda: self._requeue(envelope))
-        else:
-            self._requeue(envelope)
+        self._requeue(envelope)
 
     def _requeue(self, envelope: Envelope) -> None:
         self._store.put(envelope)
@@ -253,12 +247,10 @@ class Broker:
     """A message broker hosted at one site."""
 
     def __init__(self, sim: "Simulator", name: str, site: str,
-                 routing_delay_s: float = 0.0005,
                  metrics: Optional[MetricsRegistry] = None) -> None:
         self.sim = sim
         self.name = name
         self.site = site
-        self.routing_delay_s = routing_delay_s
         self.alive = True
         self.metrics = metrics or MetricsRegistry()
         self.queues: dict[str, Queue] = {}
@@ -274,12 +266,10 @@ class Broker:
         self._index_rebuilds = self.metrics.counter(
             "bus.route_index_rebuilds", broker=name, site=site)
 
-    def declare_queue(self, name: str, max_attempts: int = 5,
-                      redelivery: Optional[RetryPolicy] = None) -> Queue:
+    def declare_queue(self, name: str, max_attempts: int = 5) -> Queue:
         if name not in self.queues:
             self.queues[name] = Queue(self.sim, name, max_attempts,
-                                      metrics=self.metrics, site=self.site,
-                                      redelivery=redelivery)
+                                      metrics=self.metrics, site=self.site)
         return self.queues[name]
 
     def bind(self, queue_name: str, pattern: str) -> None:
@@ -329,25 +319,23 @@ class MessageBus:
     gateway:
         Optional zero-trust gateway; when present every publish/consume is
         verified (see :mod:`repro.security.zerotrust`).
-    metrics:
-        Optional shared :class:`~repro.obs.metrics.MetricsRegistry` every
-        broker and queue reports into.
+
+    Every broker and queue reports into the bus's own :attr:`metrics`
+    registry.
     """
 
     def __init__(self, sim: "Simulator", network: "Network",
-                 gateway: Any = None,
-                 metrics: Optional[MetricsRegistry] = None) -> None:
+                 gateway: Any = None) -> None:
         self.sim = sim
         self.network = network
         self.gateway = gateway
-        self.metrics = metrics or MetricsRegistry()
+        self.metrics = MetricsRegistry()
         self.brokers: dict[str, Broker] = {}
 
-    def add_broker(self, name: str, site: str, **kw: Any) -> Broker:
+    def add_broker(self, name: str, site: str) -> Broker:
         if name in self.brokers:
             raise ValueError(f"duplicate broker {name!r}")
-        kw.setdefault("metrics", self.metrics)
-        broker = Broker(self.sim, name, site, **kw)
+        broker = Broker(self.sim, name, site, metrics=self.metrics)
         self.brokers[name] = broker
         return broker
 
@@ -369,7 +357,7 @@ class MessageBus:
             delay = self.gateway.verify(env, action="publish")
             if delay > 0:
                 yield self.sim.timeout(delay)
-        yield self.sim.timeout(broker.routing_delay_s)
+        yield self.sim.timeout(ROUTING_DELAY_S)
         return broker.route(topic, env)
 
     def consume(self, broker_name: str, queue_name: str,

@@ -49,22 +49,21 @@ class DnsSd:
         to it).
     site:
         The site this daemon serves.
-    cache_ttl_s:
-        How long browse results are served from the local cache.
     """
 
     ANNOUNCE_SIZE = 512.0
     QUERY_SIZE = 256.0
+    #: How long browse results are served from the local cache.
+    CACHE_TTL_S = 5.0
 
     def __init__(self, sim: "Simulator", network: "Network",
-                 registry: ServiceRegistry, registry_site: str, site: str,
-                 cache_ttl_s: float = 5.0) -> None:
+                 registry: ServiceRegistry, registry_site: str,
+                 site: str) -> None:
         self.sim = sim
         self.network = network
         self.registry = registry
         self.registry_site = registry_site
         self.site = site
-        self.cache_ttl_s = cache_ttl_s
         self._cache: dict[str, tuple[float, list[ServiceRecord]]] = {}
         self._watch_unsub: Optional[Callable[[], None]] = None
         self.stats = {"announces": 0, "browses": 0, "cache_hits": 0}
@@ -112,7 +111,7 @@ class DnsSd:
         cached = self._cache.get(service_type)
         if use_cache and cached is not None:
             fetched_at, records = cached
-            if self.sim.now - fetched_at < self.cache_ttl_s:
+            if self.sim.now - fetched_at < self.CACHE_TTL_S:
                 self.stats["cache_hits"] += 1
                 return [r for r in records
                         if r.matches(service_type, **capability_filters)]
@@ -145,10 +144,3 @@ class DnsSd:
             self._cache.pop(service_type, None)
             callback(event, record)
         return self.registry.watch(wrapped, service_type)
-
-    def invalidate(self, service_type: Optional[str] = None) -> None:
-        """Drop cached browse results."""
-        if service_type is None:
-            self._cache.clear()
-        else:
-            self._cache.pop(service_type, None)

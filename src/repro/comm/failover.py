@@ -21,6 +21,9 @@ from repro.resilience import CircuitBreaker, CircuitState
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.kernel import Simulator
 
+#: Consecutive missed probes that trip an endpoint's breaker.
+HEARTBEAT_MISSES = 2
+
 
 class NoHealthyReplica(Exception):
     """Every replica in the group is down."""
@@ -37,44 +40,27 @@ class FailoverGroup:
         Servers in promotion order; ``replicas[0]`` starts as primary.
     heartbeat_interval_s:
         Monitor probe period — the dominant term in failover latency.
-    heartbeat_misses:
-        Consecutive missed probes that trip an endpoint's breaker (and,
-        for the primary, trigger promotion).
-    recovery_time_s:
-        Quarantine before a tripped endpoint is probed again; defaults to
-        ten heartbeat intervals.
-    metrics:
-        Optional shared registry the per-endpoint breaker counters
-        (trips, rejections) report into.
-    breakers:
-        Optional pre-built breakers keyed by replica name — pass the same
-        objects to other layers (e.g. a fault-tolerant executor) to share
-        one health view per endpoint.
+
+    A replica's breaker trips after :data:`HEARTBEAT_MISSES` consecutive
+    missed probes (for the primary, that triggers promotion) and is
+    probed again after ten heartbeat intervals.  Breaker counters (trips,
+    rejections) report into the group's own :attr:`metrics` registry.
     """
 
     def __init__(self, sim: "Simulator", replicas: list[RpcServer],
-                 heartbeat_interval_s: float = 0.1,
-                 heartbeat_misses: int = 2, *,
-                 recovery_time_s: Optional[float] = None,
-                 metrics: Optional[MetricsRegistry] = None,
-                 breakers: Optional[dict[str, CircuitBreaker]] = None
-                 ) -> None:
+                 heartbeat_interval_s: float = 0.1) -> None:
         if not replicas:
             raise ValueError("need at least one replica")
         self.sim = sim
         self.replicas = list(replicas)
         self.heartbeat_interval_s = heartbeat_interval_s
-        self.heartbeat_misses = heartbeat_misses
-        self.metrics = metrics or MetricsRegistry()
-        if recovery_time_s is None:
-            recovery_time_s = 10.0 * heartbeat_interval_s
-        self.breakers: dict[str, CircuitBreaker] = dict(breakers or {})
-        for replica in self.replicas:
-            if replica.name not in self.breakers:
-                self.breakers[replica.name] = CircuitBreaker(
-                    sim, failure_threshold=heartbeat_misses,
-                    recovery_time_s=recovery_time_s,
-                    name=f"failover.{replica.name}", metrics=self.metrics)
+        self.metrics = MetricsRegistry()
+        self.breakers = {
+            replica.name: CircuitBreaker(
+                sim, failure_threshold=HEARTBEAT_MISSES,
+                recovery_time_s=10.0 * heartbeat_interval_s,
+                name=f"failover.{replica.name}", metrics=self.metrics)
+            for replica in self.replicas}
         self._primary_idx = 0
         self.events: list[tuple[float, str, str]] = []
         self._monitor_proc = None
@@ -85,10 +71,6 @@ class FailoverGroup:
 
     def healthy_replicas(self) -> list[RpcServer]:
         return [r for r in self.replicas if r.alive]
-
-    def breaker_for(self, replica_name: str) -> CircuitBreaker:
-        """The shared health breaker for one endpoint."""
-        return self.breakers[replica_name]
 
     # -- promotion ------------------------------------------------------------
 
@@ -153,11 +135,11 @@ class FailoverGroup:
         return candidates[0] if candidates else None
 
     def call(self, client: RpcClient, method: str, payload: Any = None,
-             *, deadline_s: float = 5.0, retries_per_replica: int = 1):
+             *, deadline_s: float = 5.0):
         """Generator: call through the group, failing over on errors.
 
         Tries the current primary first, then walks the healthy standbys
-        (breaker-admitted ones first).  Every outcome is recorded into
+        (breaker-admitted ones first), retrying each replica once.  Every outcome is recorded into
         the endpoint's shared breaker.  Raises :class:`NoHealthyReplica`
         when everything is down.
         """
@@ -173,7 +155,7 @@ class FailoverGroup:
             try:
                 result = yield from client.call(
                     target, method, payload, deadline_s=deadline_s,
-                    retries=retries_per_replica)
+                    retries=1)
             except (RpcTimeout, ServerDown, NetworkError) as exc:
                 last_exc = exc
                 breaker.record_failure()

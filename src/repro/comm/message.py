@@ -67,12 +67,12 @@ class Message:
         """Estimated wire size of the message (payload + fixed overhead)."""
         return 256.0 + estimate_size(self.payload) + estimate_size(self.headers)
 
-    def reply(self, performative: Performative, payload: Any = None,
-              sender: Optional[str] = None) -> "Message":
+    def reply(self, performative: Performative,
+              payload: Any = None) -> "Message":
         """Build a response correlated to this message."""
         return Message(
             performative=performative,
-            sender=sender or self.recipient,
+            sender=self.recipient,
             recipient=self.reply_to or self.sender,
             payload=payload,
             conversation_id=self.conversation_id or str(self.msg_id),

@@ -55,6 +55,8 @@ class CapabilityOffer:
 
 #: Delivery guarantees ordered weakest to strongest.
 _QOS_ORDER = ("at-most-once", "at-least-once", "exactly-once")
+#: Proposal/counter rounds before :meth:`Negotiator.negotiate` gives up.
+MAX_ROUNDS = 3
 
 
 @dataclass(frozen=True)
@@ -143,8 +145,7 @@ class Negotiator:
         server.register("negotiate", handle)
 
     def negotiate(self, client: RpcClient, server: RpcServer,
-                  responder_offer_hint: Optional[CapabilityOffer] = None,
-                  max_rounds: int = 3):
+                  responder_offer_hint: Optional[CapabilityOffer] = None):
         """Generator: negotiate with the party behind ``server``.
 
         ``responder_offer_hint`` seeds round 1 (e.g. capabilities learned
@@ -154,7 +155,7 @@ class Negotiator:
         """
         hint = responder_offer_hint or self.offer
         rounds = 0
-        while rounds < max_rounds:
+        while rounds < MAX_ROUNDS:
             rounds += 1
             try:
                 proposal = intersect_offers(self.offer, hint)
@@ -177,4 +178,4 @@ class Negotiator:
                 hint = reply["offer"]
                 continue
             raise NegotiationFailed(reply.get("reason", "rejected"))
-        raise NegotiationFailed(f"no agreement after {max_rounds} rounds")
+        raise NegotiationFailed(f"no agreement after {MAX_ROUNDS} rounds")

@@ -22,8 +22,7 @@ from repro.core.faulttol import FaultTolerantExecutor
 from repro.core.federation import FederationManager, LabSite
 from repro.core.knowledge import KnowledgeBase
 from repro.core.manual import ManualOrchestrator
-from repro.core.metrics import (CampaignMetrics, experiments_to_target,
-                                speedup, time_to_target)
+from repro.core.metrics import CampaignMetrics, speedup
 from repro.core.orchestrator import HierarchicalOrchestrator
 from repro.core.report import CampaignReport
 from repro.core.verification import (PhysicsConstraintVerifier,
@@ -49,7 +48,5 @@ __all__ = [
     "VerificationStack",
     "WorkflowDAG",
     "WorkflowStep",
-    "experiments_to_target",
     "speedup",
-    "time_to_target",
 ]

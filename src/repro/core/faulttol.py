@@ -37,6 +37,13 @@ from repro.resilience import (CircuitBreaker, RetriesExhausted, RetryPolicy,
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.kernel import Simulator
 
+#: Total execution attempts per plan across all routes.  Retries are
+#: immediate: repair time, not backoff, paces the loop.
+MAX_ATTEMPTS = 3
+#: Quarantine window of the primary-route breaker, which opens after two
+#: consecutive primary faults.
+BREAKER_RECOVERY_S = 900.0
+
 
 class FaultTolerantExecutor:
     """Retry/repair/failover wrapper around one or more executors.
@@ -52,34 +59,23 @@ class FaultTolerantExecutor:
         characterization instrument, typically).
     alternates:
         Executors at other sites that can run the same plan.
-    max_attempts:
-        Total execution attempts per plan across all routes (ignored when
-        ``retry_policy`` is given).
     metrics:
         Optional shared :class:`~repro.obs.metrics.MetricsRegistry` the
         fault-handling counters and repair-time histogram report into.
-    retry_policy:
-        Optional explicit attempt policy (defaults to ``max_attempts``
-        immediate retries — repair time, not backoff, paces the loop).
-    breaker:
-        Optional shared breaker guarding the primary route; one is built
-        when omitted (two consecutive primary faults quarantine it for
-        ``breaker_recovery_s``).  Only consulted when alternates exist —
-        with a single route there is nothing to re-route to.
-    breaker_recovery_s:
-        Quarantine window for the default primary-route breaker.
     tracer:
         Optional tracer; attempts run inside ``resilience.attempt`` spans.
+
+    Each plan gets :data:`MAX_ATTEMPTS` immediate attempts.  A circuit
+    breaker guards the primary route (two consecutive primary faults
+    quarantine it for :data:`BREAKER_RECOVERY_S`); it is only consulted
+    when alternates exist — with a single route there is nothing to
+    re-route to.
     """
 
     def __init__(self, sim: "Simulator", primary: ExecutorAgent,
                  primary_instruments: Optional[list[Instrument]] = None,
                  alternates: Optional[list[ExecutorAgent]] = None,
-                 max_attempts: int = 3,
                  metrics: Optional[MetricsRegistry] = None,
-                 retry_policy: Optional[RetryPolicy] = None,
-                 breaker: Optional[CircuitBreaker] = None,
-                 breaker_recovery_s: float = 900.0,
                  tracer=NULL_TRACER) -> None:
         self.sim = sim
         self.primary = primary
@@ -87,10 +83,9 @@ class FaultTolerantExecutor:
         self.alternates = list(alternates or [])
         self.metrics = metrics or MetricsRegistry()
         self.tracer = tracer
-        self.retry_policy = retry_policy or RetryPolicy.immediate(max_attempts)
-        self.max_attempts = self.retry_policy.max_attempts
-        self.breaker = breaker or CircuitBreaker(
-            sim, failure_threshold=2, recovery_time_s=breaker_recovery_s,
+        self.retry_policy = RetryPolicy.immediate(MAX_ATTEMPTS)
+        self.breaker = CircuitBreaker(
+            sim, failure_threshold=2, recovery_time_s=BREAKER_RECOVERY_S,
             name=f"faulttol.{primary.site}", metrics=self.metrics)
         self.stats = self.metrics.stats(
             "faulttol",
@@ -168,7 +163,7 @@ class FaultTolerantExecutor:
         attempt is exhausted.
         """
         try:
-            # detlint: ignore[C003] bounded by retry_policy.max_attempts over a finite route set; a sim-time budget would abort mid-repair
+            # detlint: ignore[C003] bounded by MAX_ATTEMPTS over a finite route set; a sim-time budget would abort mid-repair
             outcome: ExperimentOutcome = yield from resilient_call(
                 self.sim, lambda _n: self._attempt(plan),
                 policy=self.retry_policy,

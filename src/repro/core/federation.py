@@ -133,7 +133,6 @@ class FederationManager:
                  objective_key: str = "plqy", secure: bool = False,
                  with_mesh: bool = False,
                  mesh_shards: Optional[int] = None,
-                 wan_latency_s: float = 0.02,
                  metrics: Optional[MetricsRegistry] = None,
                  tracer: Optional[Tracer] = None,
                  sim: Optional[Simulator] = None) -> None:
@@ -142,8 +141,7 @@ class FederationManager:
         self.objective_key = objective_key
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.topology = Topology.national_lab_testbed(
-            n_sites, latency_s=wan_latency_s, jitter_s=wan_latency_s / 10.0)
+        self.topology = Topology.national_lab_testbed(n_sites)
         self.faults = FaultInjector(self.sim)
         self.chaos = ChaosController(self.sim, self.faults,
                                      rngs=self.rngs, metrics=self.metrics)
@@ -188,11 +186,10 @@ class FederationManager:
                 planner_mode: str = "hierarchical",
                 hallucination_rate: float = 0.25,
                 optimizer_factory: Optional[Callable[..., Any]] = None,
-                safety_envelope: Optional[dict] = None,
-                forbidden: Optional[list[dict]] = None,
                 mtbf_hours: float = float("inf"),
                 repair_time_s: float = 3600.0) -> LabSite:
-        """Create a fully wired laboratory at ``site_name``."""
+        """Create a fully wired laboratory at ``site_name``, guarded by
+        :data:`DEFAULT_SAFETY_ENVELOPE` and :data:`DEFAULT_FORBIDDEN`."""
         if site_name in self.labs:
             raise ValueError(f"lab already exists at {site_name!r}")
         if not self.topology.has_site(site_name):
@@ -200,10 +197,8 @@ class FederationManager:
         site = self.topology.site(site_name)
         institution = site.institution or site_name
         landscape = landscape_factory(site_name)
-        safety = dict(safety_envelope if safety_envelope is not None
-                      else DEFAULT_SAFETY_ENVELOPE)
-        forbidden = list(forbidden if forbidden is not None
-                         else DEFAULT_FORBIDDEN)
+        safety = dict(DEFAULT_SAFETY_ENVELOPE)
+        forbidden = list(DEFAULT_FORBIDDEN)
 
         # Instruments behind a vendor protocol + HAL (M1).
         hal = HardwareAbstractionLayer(metrics=self.metrics)
@@ -295,7 +290,7 @@ class FederationManager:
                 self.sim, lab.executor,
                 primary_instruments=lab.instruments(),
                 alternates=[alt.executor for alt in (alternates or [])],
-                metrics=self.metrics)
+                metrics=self.metrics, tracer=self.tracer)
         return HierarchicalOrchestrator(
             self.sim, lab.planner, lab.executor, lab.evaluator,
             verification=verification, knowledge=knowledge,

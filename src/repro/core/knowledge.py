@@ -31,6 +31,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.kernel import Simulator
 
 POLICIES = ("none", "raw", "corrected")
+#: Wire size of one shared observation.
+OBSERVATION_BYTES = 2048.0
 
 
 @dataclass
@@ -63,21 +65,21 @@ class KnowledgeBase:
         Kernel and transport (propagation rides real links).
     policy:
         One of :data:`POLICIES`.
-    observation_bytes:
-        Wire size of one shared observation.
+
+    ``stats["lost"]`` counts donations dropped because a peer was
+    unreachable when they were shipped.
     """
 
     def __init__(self, sim: "Simulator", network: Optional["Network"],
-                 policy: str = "corrected",
-                 observation_bytes: float = 2048.0) -> None:
+                 policy: str = "corrected") -> None:
         if policy not in POLICIES:
             raise ValueError(f"policy must be one of {POLICIES}")
         self.sim = sim
         self.network = network
         self.policy = policy
-        self.observation_bytes = observation_bytes
         self.nodes: dict[str, KnowledgeNode] = {}
-        self.stats = {"published": 0, "propagated": 0, "absorbed": 0}
+        self.stats = {"published": 0, "propagated": 0, "absorbed": 0,
+                      "lost": 0}
 
     def register(self, site: str, optimizer,
                  space: "ParameterSpace") -> KnowledgeNode:
@@ -121,9 +123,12 @@ class KnowledgeBase:
             return
         try:
             path = self.network.route(src, peer.site)
-            delay = self.network.sample_delay(path, self.observation_bytes)
+            delay = self.network.sample_delay(path, OBSERVATION_BYTES)
         except Exception:
-            return  # unreachable peer: the donation is simply lost
+            # Fail open: an unreachable peer never sees this donation,
+            # and the campaign carries on without it — counted, not raised.
+            self.stats["lost"] += 1
+            return
         self.sim.schedule_callback(delay, deliver)
 
     # -- absorption ------------------------------------------------------------------

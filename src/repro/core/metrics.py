@@ -4,8 +4,8 @@ The primary API is :class:`CampaignMetrics` — derive one per campaign
 from a :class:`~repro.core.report.CampaignReport` via
 :meth:`~repro.core.report.CampaignReport.metrics` and compare arms with
 :meth:`~CampaignMetrics.speedup_vs` / :meth:`~CampaignMetrics.reduction_vs`.
-The original module-level functions remain as thin delegating wrappers
-over the report path, so existing call sites keep working unchanged.
+Per-campaign quantities such as time-to-target come from the report:
+``result.report(target=T).time_to_target``.
 
 All comparisons are ``None``-propagating: a campaign that never reached
 its target yields ``None`` (reported as "DNF") rather than a fabricated
@@ -16,8 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Optional
-
-from repro.core.campaign import CampaignResult
 
 
 @dataclass(frozen=True)
@@ -64,30 +62,6 @@ class CampaignMetrics:
         base = (baseline.experiments_to_target
                 if isinstance(baseline, CampaignMetrics) else baseline)
         return reduction_fraction(base, self.experiments_to_target)
-
-
-def _metrics_for(result: CampaignResult,
-                 target: Optional[float]) -> "CampaignMetrics":
-    """Shared report-path computation for the module-level helpers."""
-    from repro.core.report import CampaignReport
-    return CampaignReport.from_result(result, target=target).metrics()
-
-
-# -- module-level wrappers (legacy surface, delegate to the report path) ----
-
-def time_to_target(result: CampaignResult,
-                   target: float) -> Optional[float]:
-    """Sim-seconds from campaign start until the target was first met.
-
-    ``None`` when the campaign never reached it.
-    """
-    return _metrics_for(result, target).time_to_target
-
-
-def experiments_to_target(result: CampaignResult,
-                          target: float) -> Optional[int]:
-    """Number of executed experiments until the target was first met."""
-    return _metrics_for(result, target).experiments_to_target
 
 
 def speedup(baseline_time: Optional[float],

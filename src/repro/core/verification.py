@@ -29,6 +29,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.methods.bayesopt import BayesianOptimizer
     from repro.sim.kernel import Simulator
 
+#: Relative tolerance of :class:`TwinVerifier` on a plan's claimed
+#: objective against the twin's prediction.
+CLAIM_TOLERANCE = 0.6
+#: Observations :class:`SurrogateConsistencyVerifier` waits for before it
+#: scores claims against the surrogate.
+MIN_OBSERVATIONS = 8
+
 
 @dataclass
 class VerificationResult:
@@ -102,10 +109,8 @@ class TwinVerifier:
 
     name = "digital-twin"
 
-    def __init__(self, twin: DigitalTwin, claim_tolerance: float = 0.6,
-                 objective_key: str = "") -> None:
+    def __init__(self, twin: DigitalTwin, objective_key: str = "") -> None:
         self.twin = twin
-        self.claim_tolerance = claim_tolerance
         self.objective_key = objective_key
         self.stats = {"checks": 0, "rejections": 0}
 
@@ -118,7 +123,7 @@ class TwinVerifier:
             if "objective" in plan.expected:
                 expected = {key: plan.expected["objective"]}
         verdict = yield from self.twin.validate(
-            plan.params, expected=expected, tolerance=self.claim_tolerance)
+            plan.params, expected=expected, tolerance=CLAIM_TOLERANCE)
         if not verdict.ok:
             self.stats["rejections"] += 1
         return list(verdict.reasons)
@@ -129,22 +134,25 @@ class SurrogateConsistencyVerifier:
 
     A claim more than ``z_threshold`` posterior standard deviations above
     the surrogate mean is rejected — statistical grounding of agent
-    claims in accumulated evidence.
+    claims in accumulated evidence.  Nothing is scored before the
+    optimizer holds :data:`MIN_OBSERVATIONS` points.
+
+    The check fails open: a plan whose posterior cannot be computed
+    passes unscored and is counted in ``stats["unscored"]``.
     """
 
     name = "surrogate-consistency"
 
     def __init__(self, optimizer: "BayesianOptimizer",
-                 z_threshold: float = 6.0, min_observations: int = 8) -> None:
+                 z_threshold: float = 6.0) -> None:
         self.optimizer = optimizer
         self.z_threshold = z_threshold
-        self.min_observations = min_observations
-        self.stats = {"checks": 0, "rejections": 0}
+        self.stats = {"checks": 0, "rejections": 0, "unscored": 0}
 
     def check(self, plan: ExperimentPlan) -> list[str]:
         self.stats["checks"] += 1
         claimed = plan.expected.get("objective")
-        if claimed is None or self.optimizer.n_observed < self.min_observations:
+        if claimed is None or self.optimizer.n_observed < MIN_OBSERVATIONS:
             return []
         posterior = getattr(self.optimizer, "posterior_at", None)
         if posterior is None:
@@ -152,7 +160,9 @@ class SurrogateConsistencyVerifier:
         try:
             mean, std = posterior(plan.params)
         except Exception:
-            return []  # unencodable params are the physics verifier's job
+            # Unencodable params are the physics verifier's job.
+            self.stats["unscored"] += 1
+            return []
         if std in (0.0, float("inf")):
             return []
         z = (float(claimed) - mean) / std

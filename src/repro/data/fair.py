@@ -10,7 +10,7 @@ licenses from institutional defaults, and reports compliance over time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.data.metadata import MetadataExtractor
 from repro.data.record import DataRecord
@@ -18,6 +18,9 @@ from repro.data.record import DataRecord
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.data.provenance import ProvenanceGraph
     from repro.data.schema import SchemaRegistry
+
+#: License a :class:`FairGovernor` applies to unlicensed records.
+DEFAULT_LICENSE = "CC-BY-4.0"
 
 
 @dataclass
@@ -94,26 +97,23 @@ class FairGovernor:
     can without a human:
 
     - missing technique metadata -> run the metadata extractor;
-    - missing license -> apply the institutional default;
+    - missing license -> apply the institutional :data:`DEFAULT_LICENSE`;
     - missing schema -> adopt the best matching registered schema.
 
     The before/after scores feed E9's governance curve.
     """
 
-    def __init__(self, extractor: Optional[MetadataExtractor] = None,
-                 default_license: str = "CC-BY-4.0") -> None:
-        self.extractor = extractor or MetadataExtractor()
-        self.default_license = default_license
+    def __init__(self) -> None:
+        self.extractor = MetadataExtractor()
         self.history: list[tuple[float, float, float]] = []  # (t, before, after)
         self.stats = {"audits": 0, "repairs": 0}
 
     def audit(self, record: DataRecord, *, time: float = 0.0,
-              indexed: bool = False,
               schemas: Optional["SchemaRegistry"] = None,
               provenance: Optional["ProvenanceGraph"] = None) -> FairReport:
         """Score, repair, re-score one record; returns the final report."""
         self.stats["audits"] += 1
-        before = fair_score(record, indexed=indexed, schemas=schemas,
+        before = fair_score(record, schemas=schemas,
                             provenance=provenance).overall
         repaired = False
 
@@ -123,7 +123,7 @@ class FairGovernor:
                 record.metadata.update(ann.as_metadata())
                 repaired = True
         if not record.license:
-            record.license = self.default_license
+            record.license = DEFAULT_LICENSE
             repaired = True
         if not record.schema_id and schemas is not None:
             match = self._best_schema(record, schemas)
@@ -133,8 +133,7 @@ class FairGovernor:
 
         if repaired:
             self.stats["repairs"] += 1
-        report = fair_score(record, indexed=indexed, schemas=schemas,
-                            provenance=provenance)
+        report = fair_score(record, schemas=schemas, provenance=provenance)
         self.history.append((time, before, report.overall))
         return report
 

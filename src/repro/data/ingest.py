@@ -11,7 +11,7 @@ before they land in the mesh.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 from repro.comm.bus import BrokerDown, MessageBus
 from repro.comm.message import Message, Performative
@@ -20,30 +20,20 @@ from repro.data.streams import StreamProcessor
 from repro.instruments.base import Measurement
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.obs.metrics import MetricsRegistry
     from repro.sim.kernel import Simulator
 
 
 class TelemetryPublisher:
-    """Instrument-side: publish measurements onto the bus.
-
-    With a ``metrics`` registry the ``stats`` mapping is backed by
-    shared ``ingest.publisher.*`` counters (per-site labels), so every
-    publisher in a federation reports through the same mergeable path;
-    without one it stays a private plain dict.
-    """
+    """Instrument-side: publish measurements onto the bus."""
 
     def __init__(self, sim: "Simulator", bus: MessageBus, broker: str,
-                 site: str, token=None,
-                 metrics: "Optional[MetricsRegistry]" = None) -> None:
+                 site: str, token=None) -> None:
         self.sim = sim
         self.bus = bus
         self.broker = broker
         self.site = site
         self.token = token
-        initial = {"published": 0, "failed": 0}
-        self.stats = (metrics.stats("ingest.publisher", initial, site=site)
-                      if metrics is not None else initial)
+        self.stats = {"published": 0, "failed": 0}
 
     @staticmethod
     def topic_for(measurement: Measurement) -> str:
@@ -82,8 +72,7 @@ class MeshIngestor:
 
     def __init__(self, sim: "Simulator", bus: MessageBus, broker: str,
                  queue: str, site: str, institution: str,
-                 stream: StreamProcessor, token=None,
-                 metrics: "Optional[MetricsRegistry]" = None) -> None:
+                 stream: StreamProcessor, token=None) -> None:
         self.sim = sim
         self.bus = bus
         self.broker = broker
@@ -92,9 +81,7 @@ class MeshIngestor:
         self.institution = institution
         self.stream = stream
         self.token = token
-        initial = {"consumed": 0, "malformed": 0}
-        self.stats = (metrics.stats("ingest.mesh", initial, site=site)
-                      if metrics is not None else initial)
+        self.stats = {"consumed": 0, "malformed": 0}
         self._proc = None
 
     def start(self) -> None:
@@ -130,15 +117,13 @@ class MeshIngestor:
 def wire_site_telemetry(sim: "Simulator", bus: MessageBus, broker_name: str,
                         site: str, institution: str,
                         stream: StreamProcessor, token=None,
-                        metrics: "Optional[MetricsRegistry]" = None,
                         ) -> tuple[TelemetryPublisher, MeshIngestor]:
     """Declare the queue/binding and return a (publisher, ingestor) pair."""
     broker = bus.brokers[broker_name]
     queue = f"telemetry.{site}"
     broker.declare_queue(queue)
     broker.bind(queue, f"telemetry.{site}.#")
-    publisher = TelemetryPublisher(sim, bus, broker_name, site, token=token,
-                                   metrics=metrics)
+    publisher = TelemetryPublisher(sim, bus, broker_name, site, token=token)
     ingestor = MeshIngestor(sim, bus, broker_name, queue, site, institution,
-                            stream, token=token, metrics=metrics)
+                            stream, token=token)
     return publisher, ingestor

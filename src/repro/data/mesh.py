@@ -191,8 +191,6 @@ class DataMeshNode:
         Identity of the hosting lab.
     index:
         The shared :class:`DiscoveryIndex`.
-    schemas:
-        Local schema registry (a copy of community schemas, typically).
     governor:
         Optional FAIR governor auditing records on ingest.
     gateway:
@@ -200,11 +198,12 @@ class DataMeshNode:
     index_latency_s:
         Asynchronous delay before a published record is discoverable
         (index replication lag).
+
+    Each node starts with an empty local :attr:`schemas` registry.
     """
 
     def __init__(self, sim: "Simulator", network: "Network", site: str,
                  institution: str, index: DiscoveryIndex,
-                 schemas: Optional[SchemaRegistry] = None,
                  governor: Optional[FairGovernor] = None,
                  gateway: Any = None,
                  index_latency_s: float = 0.5) -> None:
@@ -213,7 +212,7 @@ class DataMeshNode:
         self.site = site
         self.institution = institution
         self.index = index
-        self.schemas = schemas or SchemaRegistry()
+        self.schemas = SchemaRegistry()
         self.governor = governor
         self.gateway = gateway
         self.provenance = ProvenanceGraph()
@@ -229,7 +228,7 @@ class DataMeshNode:
         record.institution = record.institution or self.institution
         if self.governor is not None:
             self.governor.audit(record, time=self.sim.now,
-                                indexed=False, schemas=self.schemas,
+                                schemas=self.schemas,
                                 provenance=self.provenance)
         self._records[record.record_id] = record
         self.stats["ingested"] += 1
@@ -239,15 +238,15 @@ class DataMeshNode:
                                    lambda: self.index.publish(entry))
         return record
 
-    def normalize_and_ingest(self, record: DataRecord, schema_name: str,
-                             producer_units: Optional[dict[str, str]] = None
-                             ) -> DataRecord:
+    def normalize_and_ingest(self, record: DataRecord,
+                             schema_name: str) -> DataRecord:
         """Ingest a foreign-dialect record by negotiating onto a schema.
 
         The §3.2 "implicit schema" path: the producer's field names/units
         need not match ours — the negotiator maps via aliases and unit
         suffixes (``temperature_K`` satisfies ``temperature``) and the
-        values are rewritten in canonical form before ingest.  Raises
+        values are rewritten in canonical form before ingest.  Producer
+        units come from ``record.metadata["units"]``.  Raises
         :class:`~repro.data.schema.SchemaError` when required fields
         cannot be satisfied.
         """
@@ -256,7 +255,7 @@ class DataMeshNode:
         if schema is None:
             from repro.data.schema import SchemaError
             raise SchemaError(f"no schema named {schema_name!r} registered")
-        units = producer_units or record.metadata.get("units") or {}
+        units = record.metadata.get("units") or {}
         producer_fields = {k: units.get(k, "") for k in record.values}
         negotiator = SchemaNegotiator(self.schemas)
         mappings = negotiator.negotiate(producer_fields, schema)

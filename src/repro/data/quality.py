@@ -23,6 +23,12 @@ import numpy as np
 from repro.data.record import DataRecord
 from repro.data.schema import Schema
 
+#: Readings of each quantity an :class:`AnomalyDetector` keeps as its
+#: rolling baseline.
+WINDOW = 64
+#: Instrument calibration bias beyond which a record is flagged as drifted.
+DRIFT_TOLERANCE = 0.1
+
 
 @dataclass
 class QualityReport:
@@ -46,9 +52,8 @@ class AnomalyDetector:
     decision chains" failure mode the paper warns about).
     """
 
-    def __init__(self, window: int = 64, z_threshold: float = 4.0,
+    def __init__(self, z_threshold: float = 4.0,
                  min_history: int = 8) -> None:
-        self.window = window
         self.z_threshold = z_threshold
         self.min_history = min_history
         self._history: dict[str, deque] = {}
@@ -67,7 +72,7 @@ class AnomalyDetector:
     def observe(self, key: str, value: float) -> Optional[float]:
         """Score then absorb the observation; returns the z-score."""
         z = self.z_score(key, value)
-        hist = self._history.setdefault(key, deque(maxlen=self.window))
+        hist = self._history.setdefault(key, deque(maxlen=WINDOW))
         # Extreme outliers are scored but NOT absorbed into the baseline.
         if z is None or abs(z) <= self.z_threshold:
             hist.append(float(value))
@@ -81,11 +86,9 @@ class QualityAssessor:
     """Per-record quality scoring, stamped into ``record.quality``."""
 
     def __init__(self, schema: Optional[Schema] = None,
-                 detector: Optional[AnomalyDetector] = None,
-                 drift_tolerance: float = 0.1) -> None:
+                 detector: Optional[AnomalyDetector] = None) -> None:
         self.schema = schema
         self.detector = detector or AnomalyDetector()
-        self.drift_tolerance = drift_tolerance
         self.stats = {"assessed": 0, "anomalies": 0, "schema_violations": 0}
 
     def assess(self, record: DataRecord,
@@ -132,7 +135,7 @@ class QualityAssessor:
                 score -= 0.5
                 flags.append(f"instrument:{status}")
             bias = abs(float(instrument_state.get("calibration_bias", 0.0)))
-            if bias > self.drift_tolerance:
+            if bias > DRIFT_TOLERANCE:
                 score -= 0.2
                 flags.append(f"instrument:drifted({bias:.3f})")
 

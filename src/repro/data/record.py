@@ -83,8 +83,8 @@ class DataRecord:
         }
 
     @classmethod
-    def from_measurement(cls, measurement, institution: str = "",
-                         sensitivity: str = "open") -> "DataRecord":
+    def from_measurement(cls, measurement,
+                         institution: str = "") -> "DataRecord":
         """Lift an instrument :class:`Measurement` into the data fabric."""
         return cls(
             source=measurement.instrument,
@@ -97,5 +97,4 @@ class DataRecord:
                       "units": dict(measurement.units),
                       **dict(measurement.metadata)},
             time=measurement.time,
-            sensitivity=sensitivity,
         )

@@ -129,16 +129,16 @@ class Schema:
     # -- evolution -----------------------------------------------------------------
 
     def evolve(self, *, add: tuple[FieldSpec, ...] = (),
-               drop: tuple[str, ...] = (),
-               description: str = "") -> "Schema":
-        """Derive the next version with fields added/removed."""
+               drop: tuple[str, ...] = ()) -> "Schema":
+        """Derive the next version with fields added/removed (same
+        description)."""
         kept = tuple(f for f in self.fields if f.name not in drop)
         clashes = {f.name for f in add} & {f.name for f in kept}
         if clashes:
             raise SchemaError(f"evolve would duplicate fields: {clashes}")
         return Schema(name=self.name, version=self.version + 1,
                       fields=kept + tuple(add),
-                      description=description or self.description)
+                      description=self.description)
 
     def compatible_with(self, older: "Schema") -> bool:
         """Backward compatibility: can data valid under ``older`` satisfy us?

@@ -32,21 +32,20 @@ class FluidicReactor(Instrument):
         One-off line priming cost when conditions change chemistry
         (i.e. when any *discrete* parameter differs from the previous
         condition).
-    reagent_per_sample_mL:
-        Droplet-scale consumption.
     """
 
     kind = "fluidic-reactor"
     operations = ("synthesize", "sweep")
+    #: Droplet-scale reagent consumption per sample.
+    reagent_per_sample_mL = 0.05
 
     def __init__(self, sim, name, site, rngs, landscape: "Landscape", *,
                  sample_time_s: float = 12.0, prime_time_s: float = 120.0,
-                 reagent_per_sample_mL: float = 0.05, **kw: Any) -> None:
+                 **kw: Any) -> None:
         super().__init__(sim, name, site, rngs, **kw)
         self.landscape = landscape
         self.sample_time_s = sample_time_s
         self.prime_time_s = prime_time_s
-        self.reagent_per_sample_mL = reagent_per_sample_mL
         self.reagent_used_mL = 0.0
         self.samples_made = 0
         self._last_chemistry: tuple[str, ...] | None = None
@@ -77,7 +76,7 @@ class FluidicReactor(Instrument):
         sample.record(self.sim.now, self.name, "synthesize(flow)")
         return sample
 
-    def sweep(self, param_list: list[Mapping[str, Any]], requester: str = ""):
+    def sweep(self, param_list: list[Mapping[str, Any]]):
         """Generator: run a batch of conditions back-to-back.
 
         Returns a list of samples.  Sweeps amortize priming across
@@ -92,8 +91,7 @@ class FluidicReactor(Instrument):
         for params, sample in zip(param_list, samples):
             duration = self._condition_time(params)
             request = OperationRequest(operation="synthesize",
-                                       params=dict(params),
-                                       requester=requester)
+                                       params=dict(params))
             yield from self.operate(request, duration)
             self.reagent_used_mL += self.reagent_per_sample_mL
             self.samples_made += 1

@@ -15,6 +15,10 @@ import numpy as np
 from repro.instruments.base import Instrument, OperationRequest
 from repro.labsci.sample import Sample
 
+#: The anneal temperature (C) with the largest improvement factor, and
+#: the Gaussian width (C) of the improvement around it.
+OPTIMAL_ANNEAL_C = 180.0
+WINDOW_C = 60.0
 
 class TubeFurnace(Instrument):
     """Programmable tube furnace."""
@@ -23,13 +27,9 @@ class TubeFurnace(Instrument):
     operations = ("anneal",)
 
     def __init__(self, sim, name, site, rngs, *,
-                 ramp_rate_C_per_s: float = 0.5,
-                 optimal_anneal_C: float = 180.0,
-                 window_C: float = 60.0, **kw: Any) -> None:
+                 ramp_rate_C_per_s: float = 0.5, **kw: Any) -> None:
         super().__init__(sim, name, site, rngs, **kw)
         self.ramp_rate_C_per_s = ramp_rate_C_per_s
-        self.optimal_anneal_C = optimal_anneal_C
-        self.window_C = window_C
 
     def operating_envelope(self) -> dict[str, tuple[float, float]]:
         return {"temperature": (25.0, 1200.0), "hold_time": (0.0, 48 * 3600.0)}
@@ -38,9 +38,10 @@ class TubeFurnace(Instrument):
                requester: str = ""):
         """Generator: ramp, hold, cool; mutates the sample's properties.
 
-        The improvement factor peaks at ``optimal_anneal_C``:
+        The improvement factor peaks at :data:`OPTIMAL_ANNEAL_C`:
         ``factor = 1 + 0.3 * exp(-((T - opt)/window)^2) - overheat``
-        with an overheating penalty above ``opt + 2*window``.
+        with ``window`` = :data:`WINDOW_C` and an overheating penalty
+        above ``opt + 2*window``.
         """
         request = OperationRequest(
             operation="anneal",
@@ -50,9 +51,8 @@ class TubeFurnace(Instrument):
         duration = 2 * ramp_s + hold_time_s  # heat, hold, cool
         yield from self.operate(request, duration)
         boost = 0.3 * float(np.exp(
-            -((temperature - self.optimal_anneal_C) / self.window_C) ** 2))
-        overheat = max(0.0, (temperature
-                             - (self.optimal_anneal_C + 2 * self.window_C))
+            -((temperature - OPTIMAL_ANNEAL_C) / WINDOW_C) ** 2))
+        overheat = max(0.0, (temperature - (OPTIMAL_ANNEAL_C + 2 * WINDOW_C))
                        / 400.0)
         factor = max(0.1, 1.0 + boost - overheat)
         for prop in list(sample.true_properties()):

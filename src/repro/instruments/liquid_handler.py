@@ -12,6 +12,8 @@ from typing import Any, Mapping
 
 from repro.instruments.base import Instrument, Measurement, OperationRequest
 
+#: Relative pipetting error (std) on each dispensed volume.
+VOLUME_ERROR_FRACTION = 0.01
 
 class LiquidHandler(Instrument):
     """Pipetting robot with a 96-slot deck."""
@@ -21,11 +23,9 @@ class LiquidHandler(Instrument):
 
     def __init__(self, sim, name, site, rngs, *,
                  time_per_transfer_s: float = 8.0,
-                 volume_error_fraction: float = 0.01,
                  deck_slots: int = 96, **kw: Any) -> None:
         super().__init__(sim, name, site, rngs, **kw)
         self.time_per_transfer_s = time_per_transfer_s
-        self.volume_error_fraction = volume_error_fraction
         self.deck_slots = deck_slots
         self.prepared: dict[str, dict[str, float]] = {}
 
@@ -50,7 +50,7 @@ class LiquidHandler(Instrument):
         yield from self.operate(request, duration)
         actual = {
             reagent: float(vol * (1.0 + self.rng.normal(
-                0.0, self.volume_error_fraction)))
+                0.0, VOLUME_ERROR_FRACTION)))
             for reagent, vol in recipe.items()}
         self.prepared[mixture_id] = actual
         return Measurement(

@@ -9,13 +9,16 @@ instrument's bias exceeds tolerance — the keep-it-calibrated half of M4
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 from repro.instruments.base import Instrument, InstrumentStatus
 from repro.obs.metrics import MetricsRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.kernel import Simulator
+
+#: Absolute calibration drift beyond which recalibration is dispatched.
+BIAS_TOLERANCE = 0.05
 
 
 class MaintenanceAgent:
@@ -27,23 +30,20 @@ class MaintenanceAgent:
         Kernel.
     check_interval_s:
         QA sweep period.
-    bias_tolerance:
-        Absolute drift beyond which recalibration is dispatched.
-    metrics:
-        Optional shared :class:`~repro.obs.metrics.MetricsRegistry`; the
-        public :attr:`stats` mapping is a registry-backed view either way.
+
+    Recalibration is dispatched once an instrument's absolute drift
+    exceeds :data:`BIAS_TOLERANCE`.  The public :attr:`stats` mapping is
+    a view over the agent's own :attr:`metrics` registry.
     """
 
-    def __init__(self, sim: "Simulator", *, check_interval_s: float = 3600.0,
-                 bias_tolerance: float = 0.05,
-                 metrics: Optional[MetricsRegistry] = None) -> None:
+    def __init__(self, sim: "Simulator", *,
+                 check_interval_s: float = 3600.0) -> None:
         self.sim = sim
         self.check_interval_s = check_interval_s
-        self.bias_tolerance = bias_tolerance
         self._fleet: list[Instrument] = []
         self._in_progress: set[str] = set()
         self.events: list[tuple[float, str, str]] = []
-        self.metrics = metrics or MetricsRegistry()
+        self.metrics = MetricsRegistry()
         self.stats = self.metrics.stats(
             "maintenance", {"sweeps": 0, "calibrations": 0})
         self._proc = None
@@ -69,7 +69,7 @@ class MaintenanceAgent:
                 if inst.status in (InstrumentStatus.FAULT,
                                    InstrumentStatus.OFFLINE):
                     continue
-                if inst.calibration.needs_calibration(self.bias_tolerance):
+                if inst.calibration.needs_calibration(BIAS_TOLERANCE):
                     self._in_progress.add(inst.name)
                     self.sim.process(self._recalibrate(inst))
 

@@ -15,7 +15,7 @@ without knowing where (or from which vendor) they live.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Optional
+from typing import TYPE_CHECKING, Any
 
 from repro.comm.rpc import RpcClient, RpcServer
 from repro.instruments.base import OperationRequest
@@ -25,6 +25,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.net.transport import Network
     from repro.sim.kernel import Simulator
 
+#: Lifetime of an :meth:`InstrumentService.announcement` in DNS-SD.
+ANNOUNCEMENT_TTL_S = 600.0
+#: Per-call deadline of a remote execute.
+EXECUTE_DEADLINE_S = 48 * 3600.0
 
 class InstrumentService:
     """One site's instruments, published as an RPC microservice.
@@ -36,19 +40,18 @@ class InstrumentService:
     hal:
         The HAL holding this site's instruments.
     site:
-        Hosting site.
-    name:
-        Service (and RPC server) name.
+        Hosting site; the service (and RPC server) is named
+        ``instrument-service.<site>``.
     """
 
     SERVICE_TYPE = "_instrument-service._aisle"
 
     def __init__(self, sim: "Simulator", hal: HardwareAbstractionLayer,
-                 site: str, name: Optional[str] = None) -> None:
+                 site: str) -> None:
         self.sim = sim
         self.hal = hal
         self.site = site
-        self.name = name or f"instrument-service.{site}"
+        self.name = f"instrument-service.{site}"
         self.server = RpcServer(sim, self.name, site)
         self.server.register("execute", self._handle_execute)
         self.server.register("inventory", self._handle_inventory)
@@ -79,15 +82,16 @@ class InstrumentService:
     def _handle_inventory(self, _payload: Any) -> dict[str, Any]:
         return self.hal.describe()
 
-    def announcement(self, ttl_s: float = 600.0):
-        """A DNS-SD announcement for this service (register via DnsSd)."""
+    def announcement(self):
+        """A DNS-SD announcement for this service (register via DnsSd),
+        valid for :data:`ANNOUNCEMENT_TTL_S`."""
         from repro.comm.discovery import ServiceAnnouncement
         return ServiceAnnouncement(
             instance=self.name, service_type=self.SERVICE_TYPE,
             endpoint=self.name,
             capabilities={"site": self.site,
                           "instruments": sorted(self.hal.describe())},
-            ttl_s=ttl_s)
+            ttl_s=ANNOUNCEMENT_TTL_S)
 
 
 class RemoteInstrumentClient:
@@ -108,20 +112,19 @@ class RemoteInstrumentClient:
         The remote :class:`InstrumentService`.
     gateway / token:
         Zero-trust credentials: every remote execute is verified at the
-        service's edge (federated identity integration, M10).
-    deadline_s:
-        Per-call deadline; instrument operations are long, so this
-        defaults high.
+        service's edge (federated identity integration, M10).  Calls are
+        stamped with the identity ``remote-agent``.
+
+    Each execute has an :data:`EXECUTE_DEADLINE_S` deadline: instrument
+    operations are long.
     """
 
     def __init__(self, sim: "Simulator", network: "Network", site: str,
                  service: InstrumentService, *, gateway: Any = None,
-                 token: Any = None, identity: str = "remote-agent",
-                 deadline_s: float = 48 * 3600.0) -> None:
+                 token: Any = None) -> None:
         self.sim = sim
         self.service = service
-        self.deadline_s = deadline_s
-        self._rpc = RpcClient(sim, network, site, identity=identity,
+        self._rpc = RpcClient(sim, network, site, identity="remote-agent",
                               gateway=gateway, token=token)
 
     @property
@@ -142,7 +145,7 @@ class RemoteInstrumentClient:
              "params": dict(request.params),
              "sample": request.sample,
              "requester": request.requester},
-            deadline_s=self.deadline_s, retries=1)
+            deadline_s=EXECUTE_DEADLINE_S, retries=1)
         return result
 
     def inventory(self):

@@ -15,6 +15,13 @@ import numpy as np
 from repro.instruments.base import Instrument, Measurement, OperationRequest
 from repro.labsci.sample import Sample
 
+#: Noise (std) on the fitted PLQY before calibration bias.
+PLQY_NOISE = 0.015
+#: Noise (std, nm) on the fitted emission wavelength.
+WAVELENGTH_NOISE_NM = 0.8
+#: The synthetic spectrum's wavelength axis: range (nm) and channels.
+WAVELENGTH_RANGE = (350.0, 900.0)
+N_CHANNELS = 1024
 
 class PLSpectrometer(Instrument):
     """Fluorescence spectrometer with drift-prone wavelength axis."""
@@ -23,16 +30,9 @@ class PLSpectrometer(Instrument):
     operations = ("measure",)
 
     def __init__(self, sim, name, site, rngs, *,
-                 scan_time_s: float = 45.0, plqy_noise: float = 0.015,
-                 wavelength_noise_nm: float = 0.8,
-                 wavelength_range: tuple[float, float] = (350.0, 900.0),
-                 n_channels: int = 1024, **kw: Any) -> None:
+                 scan_time_s: float = 45.0, **kw: Any) -> None:
         super().__init__(sim, name, site, rngs, **kw)
         self.scan_time_s = scan_time_s
-        self.plqy_noise = plqy_noise
-        self.wavelength_noise_nm = wavelength_noise_nm
-        self.wavelength_range = wavelength_range
-        self.n_channels = n_channels
 
     def operating_envelope(self) -> dict[str, tuple[float, float]]:
         return {"integration_time": (0.001, 600.0)}
@@ -40,8 +40,8 @@ class PLSpectrometer(Instrument):
     def _synthesize_spectrum(self, center_nm: float,
                              intensity: float) -> np.ndarray:
         """Gaussian emission peak + baseline + shot noise."""
-        lo, hi = self.wavelength_range
-        wl = np.linspace(lo, hi, self.n_channels)
+        lo, hi = WAVELENGTH_RANGE
+        wl = np.linspace(lo, hi, N_CHANNELS)
         width = 18.0 + 6.0 * self.rng.random()
         signal = intensity * np.exp(-((wl - center_nm) / width) ** 2)
         baseline = 0.02 + 0.005 * np.sin(wl / 120.0)
@@ -56,15 +56,15 @@ class PLSpectrometer(Instrument):
         true_plqy = sample.true_property("plqy")
         true_nm = sample.true_property("emission_nm")
         obs_plqy = float(np.clip(
-            self.apply_calibration_bias(true_plqy, self.plqy_noise), 0.0, 1.0))
-        obs_nm = float(true_nm + self.rng.normal(0.0, self.wavelength_noise_nm))
+            self.apply_calibration_bias(true_plqy, PLQY_NOISE), 0.0, 1.0))
+        obs_nm = float(true_nm + self.rng.normal(0.0, WAVELENGTH_NOISE_NM))
         spectrum = self._synthesize_spectrum(obs_nm, max(obs_plqy, 1e-3))
         return Measurement(
             measurement_id=self.next_measurement_id(),
             instrument=self.name, kind="pl-spectrum",
             values={"plqy": obs_plqy, "emission_nm": obs_nm},
             raw={"spectrum": spectrum,
-                 "acq": {"channels": self.n_channels,
+                 "acq": {"channels": N_CHANNELS,
                          "integration_s": self.scan_time_s}},
             units={"plqy": "fraction", "emission_nm": "nm"},
             sample_id=sample.sample_id, site=self.site, time=self.sim.now,

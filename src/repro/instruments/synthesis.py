@@ -26,20 +26,18 @@ class BatchSynthesisRobot(Instrument):
     batch_time_s:
         Wall time per synthesis batch (default 30 min: heat-up, reaction,
         cool-down, workup).
-    reagent_per_sample_mL:
-        Chemical consumption per sample.
     """
 
     kind = "synthesis-robot"
     operations = ("synthesize",)
+    #: Chemical consumption per sample.
+    reagent_per_sample_mL = 10.0
 
     def __init__(self, sim, name, site, rngs, landscape: "Landscape", *,
-                 batch_time_s: float = 1800.0,
-                 reagent_per_sample_mL: float = 10.0, **kw: Any) -> None:
+                 batch_time_s: float = 1800.0, **kw: Any) -> None:
         super().__init__(sim, name, site, rngs, **kw)
         self.landscape = landscape
         self.batch_time_s = batch_time_s
-        self.reagent_per_sample_mL = reagent_per_sample_mL
         self.reagent_used_mL = 0.0
         self.samples_made = 0
 

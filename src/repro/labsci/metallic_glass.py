@@ -17,6 +17,9 @@ from repro.labsci.landscapes import (ContinuousDim, Landscape,
                                      ParameterSpace)
 from repro.sim.rng import RngRegistry
 
+#: Glass-forming composition islands on the simplex.
+N_ISLANDS = 4
+
 
 def metallic_glass_space() -> ParameterSpace:
     """Two free fractions (the third is 1 - x - y, enforced on evaluate)."""
@@ -41,15 +44,15 @@ class MetallicGlassLandscape(Landscape):
     properties = ("gfa", "is_glass")
     objective = "gfa"
 
-    def __init__(self, seed: int = 0, n_islands: int = 4) -> None:
+    def __init__(self, seed: int = 0) -> None:
         super().__init__(metallic_glass_space())
         self.seed = seed
         rng = RngRegistry(seed).fresh("metallic-glass/islands")
         # Island centers inside the simplex via Dirichlet draws.
-        centers = rng.dirichlet((2.0, 2.0, 2.0), size=n_islands)[:, :2]
+        centers = rng.dirichlet((2.0, 2.0, 2.0), size=N_ISLANDS)[:, :2]
         self._centers = centers
-        self._widths = rng.uniform(0.04, 0.12, size=n_islands)
-        self._heights = rng.uniform(0.55, 1.0, size=n_islands)
+        self._widths = rng.uniform(0.04, 0.12, size=N_ISLANDS)
+        self._heights = rng.uniform(0.55, 1.0, size=N_ISLANDS)
 
     def evaluate(self, params: Mapping[str, Any]) -> dict[str, float]:
         self.space.validate(params)

@@ -43,12 +43,13 @@ class PerovskiteLandscape(SyntheticLandscape):
 
     properties = ("plqy", "emission_nm", "quality")
     objective = "quality"
+    #: Emission wavelength (nm) the quality objective rewards.
+    target_nm = 520.0
 
-    def __init__(self, seed: int = 0, target_nm: float = 520.0,
-                 site: str = "", calibration_scale: float = 0.0) -> None:
+    def __init__(self, seed: int = 0, site: str = "",
+                 calibration_scale: float = 0.0) -> None:
         super().__init__(perovskite_space(), seed=seed, name="perovskite",
                          n_peaks=3, output_range=(0.0, 0.95))
-        self.target_nm = target_nm
         self.site = site
         # Per-site systematic offsets: small shifts in effective
         # temperature and halide incorporation.

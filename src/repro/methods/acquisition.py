@@ -17,27 +17,31 @@ from scipy.stats import norm
 #: poison the acquisition argmax.  Flooring makes such points score
 #: ~0 improvement instead, which is the correct limit.
 STD_FLOOR = 1e-12
+#: Exploration jitter of EI and PI: improvement is measured over
+#: ``best + XI``.
+XI = 0.01
+#: GP-UCB's weight on the posterior std.
+BETA = 2.0
 
 
-def expected_improvement(mean: np.ndarray, std: np.ndarray, best: float,
-                         xi: float = 0.01) -> np.ndarray:
-    """EI over the incumbent ``best`` with exploration jitter ``xi``."""
+def expected_improvement(mean: np.ndarray, std: np.ndarray,
+                         best: float) -> np.ndarray:
+    """EI over the incumbent ``best`` with exploration jitter :data:`XI`."""
     std = np.maximum(std, STD_FLOOR)
-    z = (mean - best - xi) / std
-    return (mean - best - xi) * norm.cdf(z) + std * norm.pdf(z)
+    z = (mean - best - XI) / std
+    return (mean - best - XI) * norm.cdf(z) + std * norm.pdf(z)
 
 
-def upper_confidence_bound(mean: np.ndarray, std: np.ndarray,
-                           beta: float = 2.0) -> np.ndarray:
-    """GP-UCB: mean + beta * std."""
-    return mean + beta * std
+def upper_confidence_bound(mean: np.ndarray, std: np.ndarray) -> np.ndarray:
+    """GP-UCB: mean + BETA * std."""
+    return mean + BETA * std
 
 
 def probability_of_improvement(mean: np.ndarray, std: np.ndarray,
-                               best: float, xi: float = 0.01) -> np.ndarray:
-    """P(f(x) > best + xi)."""
+                               best: float) -> np.ndarray:
+    """P(f(x) > best + XI)."""
     std = np.maximum(std, STD_FLOOR)
-    return norm.cdf((mean - best - xi) / std)
+    return norm.cdf((mean - best - XI) / std)
 
 
 def thompson_sample(gp, X: np.ndarray,
@@ -55,17 +59,16 @@ ACQUISITIONS = {
 
 
 def score_candidates(name: str, gp, X: np.ndarray, best: float,
-                     rng: np.random.Generator, *, xi: float = 0.01,
-                     beta: float = 2.0) -> np.ndarray:
+                     rng: np.random.Generator) -> np.ndarray:
     """Dispatch an acquisition by name over a candidate matrix."""
     if name == "thompson":
         return thompson_sample(gp, X, rng)
     mean, std = gp.predict(X)
     if name == "ei":
-        return expected_improvement(mean, std, best, xi=xi)
+        return expected_improvement(mean, std, best)
     if name == "ucb":
-        return upper_confidence_bound(mean, std, beta=beta)
+        return upper_confidence_bound(mean, std)
     if name == "pi":
-        return probability_of_improvement(mean, std, best, xi=xi)
+        return probability_of_improvement(mean, std, best)
     raise ValueError(f"unknown acquisition {name!r}; known: "
                      f"{sorted(ACQUISITIONS)}")

@@ -106,15 +106,18 @@ class GridSearch(AskTellOptimizer):
 class LatinHypercube(AskTellOptimizer):
     """Stratified space-filling sampler.
 
-    Continuous dims get shuffled-stratum samples per block of ``block``
-    asks; discrete dims cycle through their choices in shuffled order.
+    Continuous dims get shuffled-stratum samples per block of
+    :attr:`block` asks; discrete dims cycle through their choices in
+    shuffled order.
     """
 
-    def __init__(self, space: ParameterSpace, rng: np.random.Generator,
-                 block: int = 16) -> None:
+    #: Asks per stratified block.
+    block = 16
+
+    def __init__(self, space: ParameterSpace,
+                 rng: np.random.Generator) -> None:
         super().__init__(space)
         self.rng = rng
-        self.block = block
         self._queue: list[dict[str, Any]] = []
 
     def _refill(self) -> None:

@@ -10,8 +10,9 @@ The surrogate is kept in sync *incrementally*: new observations (local
 tells and donated ``absorb``-ed points alike) reach the GP through
 :meth:`~repro.methods.gp.GaussianProcess.observe` — an O(n²) rank-1
 update — instead of an O(n³) refit per ask.  Hyperparameter grid refits
-(every ``refit_every`` asks) and a periodic ``full_refit_every`` knob
-rebuild the factorization from scratch for numerical hygiene.
+(every :data:`REFIT_EVERY` asks) and a scratch refactorization every
+:data:`FULL_REFIT_EVERY` incremental updates rebuild the factorization
+for numerical hygiene.
 
 The ask path is fully batched: candidate pools come from
 :meth:`ParameterSpace.sample_batch` as a raw ``(n, d)`` matrix, incumbent
@@ -25,7 +26,7 @@ speedup and witnesses distributional equivalence of the two samplers.
 
 from __future__ import annotations
 
-from typing import Any, Mapping, Optional
+from typing import Any, Mapping
 
 import numpy as np
 
@@ -35,6 +36,13 @@ from repro.methods.baselines import AskTellOptimizer
 from repro.methods.gp import GaussianProcess
 from repro.methods.kernels import Matern52
 
+#: Asks between hyperparameter grid refits (grid LML search is not free).
+REFIT_EVERY = 10
+#: Incremental surrogate updates between scratch Cholesky rebuilds: bounds
+#: floating-point drift of the rank-1 chain.  The grid refit already
+#: refactors, so this only fires when many points (donated knowledge)
+#: arrive between grid refits.
+FULL_REFIT_EVERY = 50
 
 class BayesianOptimizer(AskTellOptimizer):
     """GP-based ask/tell optimizer.
@@ -51,29 +59,20 @@ class BayesianOptimizer(AskTellOptimizer):
         Random exploration before the surrogate switches on.
     n_candidates:
         Candidate pool size per ask.
-    refit_every:
-        Hyperparameter re-fit cadence (grid LML search is not free).
-    full_refit_every:
-        Every this many incremental surrogate updates, rebuild the
-        Cholesky factor from scratch instead of extending it — bounds
-        floating-point drift of the rank-1 chain.  The grid refit already
-        refactors, so this only matters when ``refit_every`` is large.
+
+    The surrogate is a Matern-5/2 GP with observation noise 0.02.
     """
 
     def __init__(self, space: ParameterSpace, rng: np.random.Generator, *,
                  acquisition: str = "ei", n_init: int = 8,
-                 n_candidates: int = 512, noise: float = 0.02,
-                 refit_every: int = 10,
-                 full_refit_every: int = 50) -> None:
+                 n_candidates: int = 512) -> None:
         super().__init__(space)
         self.rng = rng
         self.acquisition = acquisition
         self.n_init = n_init
         self.n_candidates = n_candidates
-        self.refit_every = refit_every
-        self.full_refit_every = full_refit_every
         self.gp = GaussianProcess(kernel=Matern52(lengthscale=0.3),
-                                  noise=noise)
+                                  noise=0.02)
         self._since_refit = 0
         self._since_full_refit = 0
         #: Extra observations donated by other sites (transfer learning).
@@ -114,13 +113,13 @@ class BayesianOptimizer(AskTellOptimizer):
     def _sync_surrogate(self) -> None:
         """Bring the GP up to date with the newest observations.
 
-        Grid refits (every ``refit_every`` asks) go through the cached
-        distance grid; between them, new points stream in as rank-1
+        Grid refits (every :data:`REFIT_EVERY` asks) go through the
+        cached distance grid; between them, new points stream in as rank-1
         updates, with a scratch refactorization every
-        ``full_refit_every`` updates for numerical hygiene.
+        :data:`FULL_REFIT_EVERY` updates for numerical hygiene.
         """
         self._since_refit += 1
-        if self._since_refit >= self.refit_every or self.gp.n_observations == 0:
+        if self._since_refit >= REFIT_EVERY or self.gp.n_observations == 0:
             X, y = self._encode_arrivals()
             self.gp.fit_hyperparameters(X, y)
             self._n_synced = len(self._arrivals)
@@ -128,7 +127,7 @@ class BayesianOptimizer(AskTellOptimizer):
             self._since_full_refit = 0
             return
         pending = self._arrivals[self._n_synced:]
-        if (self._since_full_refit + len(pending) >= self.full_refit_every
+        if (self._since_full_refit + len(pending) >= FULL_REFIT_EVERY
                 and pending):
             X, y = self._encode_arrivals()
             self.gp.fit(X, y)

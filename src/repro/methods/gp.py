@@ -36,6 +36,10 @@ from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
 from repro.methods.kernels import RBF, _sqdist
 
+#: The hyperparameter grid :meth:`GaussianProcess.fit_hyperparameters`
+#: searches (on unit-cube inputs and standardized targets).
+LENGTHSCALE_GRID = (0.05, 0.1, 0.2, 0.4, 0.8)
+AMPLITUDE_GRID = (0.5, 1.0, 2.0)
 
 class GaussianProcess:
     """Exact GP regression with a stationary kernel.
@@ -46,9 +50,9 @@ class GaussianProcess:
         Kernel object (``RBF`` / ``Matern52``); default RBF.
     noise:
         Observation noise standard deviation.
-    normalize_y:
-        Standardize targets internally (recommended: keeps the unit-scale
-        kernel amplitude meaningful across objectives).
+
+    Targets are standardized internally, which keeps the unit-scale
+    kernel amplitude meaningful across objectives.
 
     Notes
     -----
@@ -57,13 +61,11 @@ class GaussianProcess:
     :meth:`observe` is :math:`O(n^2)` per point.
     """
 
-    def __init__(self, kernel=None, noise: float = 1e-2,
-                 normalize_y: bool = True) -> None:
+    def __init__(self, kernel=None, noise: float = 1e-2) -> None:
         if noise <= 0:
             raise ValueError("noise must be > 0")
         self.kernel = kernel or RBF()
         self.noise = float(noise)
-        self.normalize_y = normalize_y
         self._X: Optional[np.ndarray] = None
         self._y: Optional[np.ndarray] = None
         self._z: Optional[np.ndarray] = None
@@ -87,11 +89,8 @@ class GaussianProcess:
         return 0 if self._X is None else self._X.shape[0]
 
     def _normalize(self, y: np.ndarray) -> np.ndarray:
-        if self.normalize_y:
-            self._y_mean = float(np.mean(y))
-            self._y_std = float(np.std(y)) or 1.0
-        else:
-            self._y_mean, self._y_std = 0.0, 1.0
+        self._y_mean = float(np.mean(y))
+        self._y_std = float(np.std(y)) or 1.0
         return (y - self._y_mean) / self._y_std
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "GaussianProcess":
@@ -222,9 +221,7 @@ class GaussianProcess:
 
     def fit_hyperparameters(
             self, X: Optional[np.ndarray] = None,
-            y: Optional[np.ndarray] = None,
-            lengthscales: tuple[float, ...] = (0.05, 0.1, 0.2, 0.4, 0.8),
-            amplitudes: tuple[float, ...] = (0.5, 1.0, 2.0), *,
+            y: Optional[np.ndarray] = None, *,
             exact: bool = True,
             early_exit_tol: Optional[float] = None
     ) -> "GaussianProcess":
@@ -307,9 +304,9 @@ class GaussianProcess:
                     and scored[0] >= self._last_grid_lml - early_exit_tol):
                 best = (scored[0], incumbent, scored[1], scored[2])
         if best is None:
-            for l in lengthscales:
+            for l in LENGTHSCALE_GRID:
                 base = None
-                for a in amplitudes:
+                for a in AMPLITUDE_GRID:
                     candidate = self.kernel.with_params(l, a)
                     if base is None:
                         base = (candidate._base(d2_unit * (1.0 / (l * l)))

@@ -23,6 +23,11 @@ from repro.labsci.landscapes import ParameterSpace
 from repro.methods.baselines import AskTellOptimizer
 from repro.methods.bayesopt import BayesianOptimizer
 
+#: UCB exploration weight on the outer bandit.
+EXPLORATION = 0.4
+#: Subtracted from the UCB score of arms other than the current one,
+#: reflecting the hardware cost of switching chemistry.
+SWITCH_PENALTY = 0.02
 
 class _ComboArm:
     """Bandit statistics + inner optimizer for one discrete combination."""
@@ -47,22 +52,16 @@ class NestedBayesianOptimizer(AskTellOptimizer):
         Mixed parameter space; its discrete dims define the arms.
     rng:
         Random stream.
-    exploration:
-        UCB exploration weight on the outer bandit.
     arm_subset:
         Newly considered arms per round: the full cross product can be
         huge (8*8*4*5 = 1280 for quantum dots), so unvisited arms are
         sampled rather than enumerated.
     inner_kwargs:
         Passed to each per-combo :class:`BayesianOptimizer`.
-    switch_penalty:
-        Subtracted from the UCB score of arms other than the current one,
-        reflecting the hardware cost of switching chemistry.
     """
 
     def __init__(self, space: ParameterSpace, rng: np.random.Generator, *,
-                 exploration: float = 0.4, arm_subset: int = 24,
-                 switch_penalty: float = 0.02,
+                 arm_subset: int = 24,
                  inner_kwargs: Optional[dict[str, Any]] = None) -> None:
         super().__init__(space)
         if not space.discrete:
@@ -70,17 +69,10 @@ class NestedBayesianOptimizer(AskTellOptimizer):
                 "NestedBayesianOptimizer needs at least one discrete dim; "
                 "use BayesianOptimizer for purely continuous spaces")
         self.rng = rng
-        self.exploration = exploration
         self.arm_subset = arm_subset
-        self.switch_penalty = switch_penalty
         self._inner_kwargs = dict(inner_kwargs or {})
         self._inner_kwargs.setdefault("n_init", 4)
         self._inner_kwargs.setdefault("n_candidates", 256)
-        # Inner surrogates ride the fast path: observations stream in as
-        # rank-1 updates and grid refits reuse the cached distance matrix
-        # (see repro.methods.gp).  Each arm sees only its share of the
-        # budget, so the hygiene refactorization can be sparse.
-        self._inner_kwargs.setdefault("full_refit_every", 50)
         self._arms: dict[tuple[str, ...], _ComboArm] = {}
         self._current_arm: Optional[tuple[str, ...]] = None
         # The continuous-only subspace shared by all inner optimizers.
@@ -120,11 +112,11 @@ class NestedBayesianOptimizer(AskTellOptimizer):
                 # unvisited-but-vouched-for arm jumps the queue (M9).
                 return max(prior, arm.best_value)
             return prior
-        bonus = self.exploration * math.sqrt(
+        bonus = EXPLORATION * math.sqrt(
             math.log(max(total_pulls, 2)) / arm.pulls)
         score = arm.best_value + bonus
         if key != self._current_arm:
-            score -= self.switch_penalty
+            score -= SWITCH_PENALTY
         return score
 
     # -- ask/tell ---------------------------------------------------------------------

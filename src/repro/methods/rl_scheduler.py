@@ -15,6 +15,9 @@ from typing import Hashable, Optional, Sequence
 
 import numpy as np
 
+#: Discount on the next state's best Q-value.
+GAMMA = 0.9
+
 
 @dataclass(frozen=True)
 class SchedulingState:
@@ -90,21 +93,20 @@ class QLearningScheduler:
         The routing choices, e.g. ``("flow", "batch", "simulate")``.
     rng:
         Random stream for exploration.
-    alpha / gamma / epsilon:
-        Learning rate, discount, exploration rate; ``epsilon`` decays by
-        ``epsilon_decay`` per update.
+    alpha / epsilon:
+        Learning rate and exploration rate; ``epsilon`` decays by
+        ``epsilon_decay`` per update.  Future reward is discounted by
+        :data:`GAMMA`.
     """
 
     def __init__(self, actions: Sequence[str], rng: np.random.Generator, *,
-                 alpha: float = 0.2, gamma: float = 0.9,
-                 epsilon: float = 0.3, epsilon_decay: float = 0.995,
+                 alpha: float = 0.2, epsilon: float = 0.3, epsilon_decay: float = 0.995,
                  min_epsilon: float = 0.02) -> None:
         if not actions:
             raise ValueError("need at least one action")
         self.actions = tuple(actions)
         self.rng = rng
         self.alpha = alpha
-        self.gamma = gamma
         self.epsilon = epsilon
         self.epsilon_decay = epsilon_decay
         self.min_epsilon = min_epsilon
@@ -136,7 +138,7 @@ class QLearningScheduler:
             future = max(self.q(next_state, a) for a in self.actions)
         old = self.q(state, action)
         self._q[(state, action)] = old + self.alpha * (
-            reward + self.gamma * future - old)
+            reward + GAMMA * future - old)
         self.epsilon = max(self.min_epsilon,
                            self.epsilon * self.epsilon_decay)
 

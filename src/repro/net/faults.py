@@ -21,14 +21,15 @@ class FaultInjector:
     """Tracks which links/sites are currently failed.
 
     All ``duration`` parameters are in simulated seconds; ``None`` means
-    "until explicitly restored".
+    "until explicitly restored".  Site failures and partitions always
+    last until restored.
     """
 
     def __init__(self, sim: "Simulator") -> None:
         self.sim = sim
         self._down_links: dict[tuple[str, str], float] = {}
-        self._down_sites: dict[str, float] = {}
-        self._partitions: list[tuple[frozenset[str], frozenset[str], float]] = []
+        self._down_sites: set[str] = set()
+        self._partitions: list[tuple[frozenset[str], frozenset[str]]] = []
         self._degraded: dict[tuple[str, str], tuple[float, float]] = {}
         self.history: list[tuple[float, str, str]] = []
 
@@ -55,32 +56,24 @@ class FaultInjector:
 
     # -- site failures ------------------------------------------------------------
 
-    def fail_site(self, name: str, duration: Optional[float] = None) -> None:
+    def fail_site(self, name: str) -> None:
         """Take an entire site offline (all its links appear down)."""
-        until = float("inf") if duration is None else self.sim.now + duration
-        self._down_sites[name] = until
+        self._down_sites.add(name)
         self.history.append((self.sim.now, "fail_site", name))
 
     def restore_site(self, name: str) -> None:
-        self._down_sites.pop(name, None)
+        self._down_sites.discard(name)
         self.history.append((self.sim.now, "restore_site", name))
 
     def site_down(self, name: str) -> bool:
-        until = self._down_sites.get(name)
-        if until is None:
-            return False
-        if self.sim.now >= until:
-            del self._down_sites[name]
-            return False
-        return True
+        return name in self._down_sites
 
     # -- partitions ------------------------------------------------------------------
 
-    def partition(self, group_a: Iterable[str], group_b: Iterable[str],
-                  duration: Optional[float] = None) -> None:
+    def partition(self, group_a: Iterable[str],
+                  group_b: Iterable[str]) -> None:
         """Block all traffic between two groups of sites."""
-        until = float("inf") if duration is None else self.sim.now + duration
-        self._partitions.append((frozenset(group_a), frozenset(group_b), until))
+        self._partitions.append((frozenset(group_a), frozenset(group_b)))
         self.history.append((self.sim.now, "partition",
                              f"{sorted(group_a)}|{sorted(group_b)}"))
 
@@ -89,17 +82,8 @@ class FaultInjector:
         self.history.append((self.sim.now, "heal_partitions", ""))
 
     def partitioned(self, src: str, dst: str) -> bool:
-        now = self.sim.now
-        alive = []
-        hit = False
-        for ga, gb, until in self._partitions:
-            if now >= until:
-                continue
-            alive.append((ga, gb, until))
-            if (src in ga and dst in gb) or (src in gb and dst in ga):
-                hit = True
-        self._partitions = alive
-        return hit
+        return any((src in ga and dst in gb) or (src in gb and dst in ga)
+                   for ga, gb in self._partitions)
 
     # -- degradation --------------------------------------------------------------------
 
@@ -137,6 +121,5 @@ class FaultInjector:
         """True if any fault is currently in force."""
         now = self.sim.now
         return (any(now < u for u in self._down_links.values())
-                or any(now < u for u in self._down_sites.values())
-                or any(now < u for *_, u in self._partitions)
+                or bool(self._down_sites) or bool(self._partitions)
                 or any(now < u for _, u in self._degraded.values()))

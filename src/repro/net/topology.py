@@ -45,11 +45,10 @@ class Site:
         return default
 
     @staticmethod
-    def make(name: str, institution: str = "", region: str = "",
-             **tags: Any) -> "Site":
+    def make(name: str, institution: str = "", **tags: Any) -> "Site":
         """Convenience constructor accepting tags as keyword arguments."""
         return Site(name=name, institution=institution or name,
-                    region=region, tags=tuple(sorted(tags.items())))
+                    tags=tuple(sorted(tags.items())))
 
 
 @dataclass
@@ -171,23 +170,21 @@ class Topology:
     # -- canned topologies ------------------------------------------------------
 
     @staticmethod
-    def national_lab_testbed(n_sites: int = 5, *, latency_s: float = 0.02,
-                             bandwidth_Bps: float = 1.25e9,
-                             jitter_s: float = 0.002,
-                             loss_prob: float = 0.0) -> "Topology":
+    def national_lab_testbed(n_sites: int = 5, *,
+                             jitter_s: float = 0.002) -> "Topology":
         """A ring-plus-chords topology approximating ESnet-style connectivity.
 
         Sites are named ``site-0 .. site-(n-1)``.  Each site connects to its
         ring neighbours, and every third pair gets a chord, giving path
-        diversity for failover experiments.
+        diversity for failover experiments.  Every link is a lossless
+        10 Gbit/s link with 20 ms one-way latency.
         """
         if n_sites < 2:
             raise ValueError("need at least 2 sites")
         topo = Topology()
         for i in range(n_sites):
             topo.add_site(Site.make(f"site-{i}", institution=f"Lab {i}"))
-        link = dict(latency_s=latency_s, bandwidth_Bps=bandwidth_Bps,
-                    jitter_s=jitter_s, loss_prob=loss_prob)
+        link = dict(latency_s=0.02, jitter_s=jitter_s)
         for i in range(n_sites):
             j = (i + 1) % n_sites
             if not topo._graph.has_edge(f"site-{i}", f"site-{j}"):

@@ -62,9 +62,6 @@ class Gauge:
     def inc(self, amount: float = 1) -> None:
         self.value += amount
 
-    def dec(self, amount: float = 1) -> None:
-        self.value -= amount
-
     def merge_from(self, other: "Gauge") -> None:
         """Shard-merge: gauges *sum* — per-shard queue depths, backlogs,
         and ring sizes aggregate into the federation-wide quantity."""

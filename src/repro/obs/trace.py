@@ -186,24 +186,23 @@ class Tracer:
 
     # -- kernel attachment -------------------------------------------------
 
-    def attach_kernel(self, sim: Optional["Simulator"] = None, *,
-                      schedule: bool = False) -> None:
-        """Trace every kernel step (and optionally every schedule).
+    def attach_kernel(self, *, schedule: bool = False) -> None:
+        """Trace every step of this tracer's kernel (and optionally every
+        schedule).
 
         Heavyweight on purpose — a microscope for short runs, not a
         default.  Detach with :meth:`detach_kernel`.
         """
-        sim = sim or self.sim
+        sim = self.sim
         sim.step_hook = lambda t, ev: self.instant(
             "kernel.step", event=type(ev).__name__)
         if schedule:
             sim.schedule_hook = lambda t, ev: self.instant(
                 "kernel.schedule", at=t, event=type(ev).__name__)
 
-    def detach_kernel(self, sim: Optional["Simulator"] = None) -> None:
-        sim = sim or self.sim
-        sim.step_hook = None
-        sim.schedule_hook = None
+    def detach_kernel(self) -> None:
+        self.sim.step_hook = None
+        self.sim.schedule_hook = None
 
     # -- spill management --------------------------------------------------
 
@@ -292,11 +291,10 @@ class NullTracer:
     def span(self, name: str, /, **attrs: Any) -> _NullSpan:
         return _NULL_SPAN
 
-    def attach_kernel(self, sim: Optional["Simulator"] = None, *,
-                      schedule: bool = False) -> None:
+    def attach_kernel(self, *, schedule: bool = False) -> None:
         return None
 
-    def detach_kernel(self, sim: Optional["Simulator"] = None) -> None:
+    def detach_kernel(self) -> None:
         return None
 
     def span_tree(self) -> list[dict[str, Any]]:

@@ -84,30 +84,26 @@ class ChaosController:
         self._at(at_s, "link_faults", f"{a}--{b}",
                  lambda: net.fail_link(a, b, duration=duration_s))
 
-    def fail_site(self, site: str, *, at_s: float = 0.0,
-                  duration_s: Optional[float] = None) -> None:
-        """Take an entire site offline."""
+    def fail_site(self, site: str, *, at_s: float = 0.0) -> None:
+        """Take an entire site offline (permanently)."""
         net = self._net()
-        self._at(at_s, "site_faults", site,
-                 lambda: net.fail_site(site, duration=duration_s))
+        self._at(at_s, "site_faults", site, lambda: net.fail_site(site))
 
     def partition(self, group_a: Iterable[str], group_b: Iterable[str], *,
-                  at_s: float = 0.0,
-                  duration_s: Optional[float] = None) -> None:
-        """Block all traffic between two site groups."""
+                  at_s: float = 0.0) -> None:
+        """Block all traffic between two site groups (permanently)."""
         net = self._net()
         ga, gb = list(group_a), list(group_b)
         self._at(at_s, "partitions", f"{sorted(ga)}|{sorted(gb)}",
-                 lambda: net.partition(ga, gb, duration=duration_s))
+                 lambda: net.partition(ga, gb))
 
     def degrade_link(self, a: str, b: str, *, extra_loss: float,
-                     at_s: float = 0.0,
-                     duration_s: Optional[float] = None) -> None:
-        """Make a link flaky by adding ``extra_loss`` loss probability."""
+                     at_s: float = 0.0) -> None:
+        """Make a link permanently flaky by adding ``extra_loss`` loss
+        probability."""
         net = self._net()
         self._at(at_s, "degradations", f"{a}--{b}",
-                 lambda: net.degrade_link(a, b, extra_loss=extra_loss,
-                                          duration=duration_s))
+                 lambda: net.degrade_link(a, b, extra_loss=extra_loss))
 
     # -- instrument chaos --------------------------------------------------
 
@@ -125,12 +121,11 @@ class ChaosController:
         instrument.inject_fault()
 
     def instrument_fault_storm(self, instruments: Iterable[Any], *,
-                               rate_per_hour: float, until_s: float,
-                               stream: str = "chaos/instruments") -> int:
+                               rate_per_hour: float, until_s: float) -> int:
         """Schedule Poisson-process faults across a fleet; returns count.
 
         Inter-fault gaps are exponential draws from a *per-instrument*
-        named stream (``{stream}/{name}``), so the storm is a pure
+        named stream (``chaos/instruments/{name}``), so the storm is a pure
         function of the root seed and adding an instrument never perturbs
         the schedule of the others.
         """
@@ -143,7 +138,7 @@ class ChaosController:
         mean_gap_s = 3600.0 / rate_per_hour
         scheduled = 0
         for inst in instruments:
-            rng = self.rngs.stream(f"{stream}/{inst.name}")
+            rng = self.rngs.stream(f"chaos/instruments/{inst.name}")
             t = self.sim.now
             while True:
                 t += float(rng.exponential(mean_gap_s))

@@ -80,10 +80,9 @@ class RetryPolicy:
         self.rng = rng
 
     @classmethod
-    def fixed(cls, delay_s: float,
-              max_attempts: int = UNLIMITED_ATTEMPTS) -> "RetryPolicy":
-        """A flat schedule: every pause is exactly ``delay_s``."""
-        return cls(max_attempts, base_delay_s=delay_s, multiplier=1.0)
+    def fixed(cls, delay_s: float) -> "RetryPolicy":
+        """A flat, unbounded schedule: every pause is exactly ``delay_s``."""
+        return cls(UNLIMITED_ATTEMPTS, base_delay_s=delay_s, multiplier=1.0)
 
     @classmethod
     def immediate(cls, max_attempts: int) -> "RetryPolicy":

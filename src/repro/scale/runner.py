@@ -144,19 +144,20 @@ class WorldBatch:
     def combined_hash(self) -> str:
         return combine_hashes(self.hashes)
 
-    def merged_metrics(self, key: str = "metrics_state") -> MetricsRegistry:
+    def merged_metrics(self) -> MetricsRegistry:
         """One registry merged from every world's per-shard metrics dump.
 
         Worlds that want their observability aggregated include a
-        ``MetricsRegistry.state()`` dump under ``key`` in their returned
-        dict (plain data, so it survives the process-pool pickle).
+        ``MetricsRegistry.state()`` dump under ``"metrics_state"`` in
+        their returned dict (plain data, so it survives the process-pool
+        pickle).
         Counters add, gauges sum, histograms merge bucket-wise — the
         same path :mod:`repro.service` tenants report through.
         """
         merged = MetricsRegistry()
         for result in self.results:
             if result.ok and isinstance(result.value, dict):
-                state = result.value.get(key)
+                state = result.value.get("metrics_state")
                 if state is not None:
                     merged.merge_state(state)
         return merged

@@ -36,11 +36,12 @@ class Identity:
     institution: str
     attributes: tuple[tuple[str, Any], ...] = ()
 
-    def attr(self, key: str, default: Any = None) -> Any:
+    def attr(self, key: str) -> Any:
+        """The attribute's value, or ``None`` when absent."""
         for k, v in self.attributes:
             if k == key:
                 return v
-        return default
+        return None
 
     @staticmethod
     def make(subject: str, institution: str, **attributes: Any) -> "Identity":
@@ -150,11 +151,10 @@ class TrustFabric:
     def trusts(self, truster: str, issuer: str) -> bool:
         return (truster, issuer) in self._trusts
 
-    def federate(self, institutions: Optional[list[str]] = None) -> None:
-        """Establish mutual trust among ``institutions`` (default: all)."""
-        insts = institutions or list(self._providers)
-        for a in insts:
-            for b in insts:
+    def federate(self) -> None:
+        """Establish mutual trust among all registered institutions."""
+        for a in self._providers:
+            for b in self._providers:
                 self._trusts.add((a, b))
 
     def validate_at(self, institution: str, token: Token) -> bool:

@@ -107,11 +107,12 @@ class Token:
                 return True
         return False
 
-    def attr(self, key: str, default: Any = None) -> Any:
+    def attr(self, key: str) -> Any:
+        """The attribute's value, or ``None`` when absent."""
         for k, v in self.attributes:
             if k == key:
                 return v
-        return default
+        return None
 
     def tampered_with(self, **overrides: Any) -> "Token":
         """A copy with modified claims but the *old* signature.

@@ -45,21 +45,20 @@ class ZeroTrustGateway:
         Simulated cost of one verification (signature check + policy
         evaluation).  Returned from :meth:`verify` so callers can charge
         it on the simulated clock.
-    audit:
-        Optional audit log.
+
+    Every decision is recorded in the gateway's own :attr:`audit` log.
     """
 
     def __init__(self, sim: "Simulator", fabric: TrustFabric,
                  engine: PolicyEngine,
                  site_institution: Optional[dict[str, str]] = None,
-                 verify_latency_s: float = 0.001,
-                 audit: Optional[AuditLog] = None) -> None:
+                 verify_latency_s: float = 0.001) -> None:
         self.sim = sim
         self.fabric = fabric
         self.engine = engine
         self.site_institution = site_institution or {}
         self.verify_latency_s = verify_latency_s
-        self.audit = audit or AuditLog(sim)
+        self.audit = AuditLog(sim)
         self.stats = {"verified": 0, "rejected_authn": 0, "rejected_authz": 0}
 
     # -- core entry point -----------------------------------------------------
@@ -126,16 +125,15 @@ class ZeroTrustGateway:
 
     # -- credential refresh --------------------------------------------------------
 
-    def refresh_loop(self, idp, subject: str, holder: Any,
-                     interval_fraction: float = 0.5):
+    def refresh_loop(self, idp, subject: str, holder: Any):
         """Generator: keep ``holder.token`` fresh (spawn as a process).
 
-        Re-issues the credential every ``ttl * interval_fraction`` so the
-        holder never presents an expired token — the client half of
-        continuous authentication.
+        Re-issues the credential every half ``ttl`` so the holder never
+        presents an expired token — the client half of continuous
+        authentication.
         """
         while True:
             token = idp.issue(subject)
             holder.token = token
             ttl = token.expires_at - token.issued_at
-            yield self.sim.timeout(max(ttl * interval_fraction, 1e-6))
+            yield self.sim.timeout(max(ttl * 0.5, 1e-6))

@@ -29,6 +29,12 @@ from repro.service.service import CampaignService
 from repro.service.tenants import TenantQuota
 from repro.sim.kernel import Simulator
 
+#: Mean pause before a rejected closed-loop tenant resubmits (jittered
+#: uniformly over 0.5x-1.5x).
+RETRY_BACKOFF_S = 60.0
+#: Relative spread of a :func:`synthetic_runner` experiment's duration.
+EXPERIMENT_JITTER = 0.3
+
 
 @dataclass(frozen=True)
 class TenantLoad:
@@ -88,13 +94,11 @@ class LoadGenerator:
     """
 
     def __init__(self, service: CampaignService,
-                 loads: "list[TenantLoad]", *, seed: int = 0,
-                 retry_backoff_s: float = 60.0) -> None:
+                 loads: "list[TenantLoad]", *, seed: int = 0) -> None:
         if not loads:
             raise ValueError("need at least one tenant load")
         self.service = service
         self.loads = list(loads)
-        self.retry_backoff_s = float(retry_backoff_s)
         self.handles: dict[str, list] = {}
         self.rejections: dict[str, int] = {}
         sim = service.sim
@@ -144,7 +148,7 @@ class LoadGenerator:
                     # the same campaign index (jitter keeps tenants from
                     # thundering back in lockstep).
                     yield sim.timeout(
-                        self.retry_backoff_s * (0.5 + rng.random()))
+                        RETRY_BACKOFF_S * (0.5 + rng.random()))
                     continue
                 submitted += 1
             if in_flight:
@@ -193,11 +197,11 @@ class LoadGenerator:
 
 
 def synthetic_runner(sim: Simulator, *, seed: int = 0,
-                     mean_experiment_s: float = 300.0,
-                     jitter: float = 0.3):
+                     mean_experiment_s: float = 300.0):
     """A facility-slot runner that "executes" campaigns as timed waits.
 
-    Each experiment takes ``mean_experiment_s`` +/- ``jitter`` (seeded),
+    Each experiment takes ``mean_experiment_s`` +/- a relative
+    :data:`EXPERIMENT_JITTER` (seeded),
     and the campaign returns a ready :class:`CampaignReport`.  Useful
     for load tests and examples where real orchestrators would drown
     the signal; for the full stack, build slots from
@@ -209,7 +213,7 @@ def synthetic_runner(sim: Simulator, *, seed: int = 0,
         started = float(sim.now)
         best = None
         for _ in range(spec.max_experiments):
-            scale = 1.0 + jitter * (2.0 * rng.random() - 1.0)
+            scale = 1.0 + EXPERIMENT_JITTER * (2.0 * rng.random() - 1.0)
             yield sim.timeout(mean_experiment_s * scale)
             value = float(rng.random())
             best = value if best is None or value > best else best

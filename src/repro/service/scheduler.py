@@ -39,6 +39,9 @@ from repro.methods.rl_scheduler import (MultiTenantSchedulingState,
 from repro.service.handle import CampaignHandle
 
 _INF = float("inf")
+#: :class:`RLFairShareScheduler` reward scale: a head of queue waiting
+#: this long costs reward -1.
+WAIT_SCALE_S = 3600.0
 
 
 @dataclass(order=True)
@@ -201,20 +204,15 @@ class RLFairShareScheduler(FairShareScheduler):
     rng:
         Seeded generator for epsilon-greedy exploration — the only
         randomness; same seed, same dispatch sequence.
-    wait_scale_s:
-        Normalizes queue-wait in the reward (a head waiting this long
-        costs reward -1).
+
+    The agent explores with epsilon 0.2; queue wait in the reward is
+    normalized by :data:`WAIT_SCALE_S`.
     """
 
     def __init__(self, rng: np.random.Generator, *,
-                 deadline_urgency_s: float = 0.0,
-                 wait_scale_s: float = 3600.0,
-                 alpha: float = 0.2, gamma: float = 0.9,
-                 epsilon: float = 0.2) -> None:
+                 deadline_urgency_s: float = 0.0) -> None:
         super().__init__(deadline_urgency_s=deadline_urgency_s)
         self._rng = rng
-        self._wait_scale_s = float(wait_scale_s)
-        self._agent_kw = {"alpha": alpha, "gamma": gamma, "epsilon": epsilon}
         self._agent: Optional[QLearningScheduler] = None
         self._last: Optional[tuple[MultiTenantSchedulingState, str]] = None
 
@@ -223,7 +221,7 @@ class RLFairShareScheduler(FairShareScheduler):
         # traffic starts would change the action space under the table.
         if self._agent is None:
             self._agent = QLearningScheduler(self.tenants, self._rng,
-                                             **self._agent_kw)
+                                             epsilon=0.2)
         return self._agent
 
     def _state(self, now: float) -> MultiTenantSchedulingState:
@@ -256,7 +254,7 @@ class RLFairShareScheduler(FairShareScheduler):
             prev_state, prev_action = self._last
             wait = max((now - e.handle.submitted_at
                         for _, e in heads), default=0.0)
-            reward = -(wait / self._wait_scale_s) \
+            reward = -(wait / WAIT_SCALE_S) \
                 - 0.1 * min(self.fairness_debt(), 10.0)
             agent.update(prev_state, prev_action, reward, state)
         action = agent.choose(state, available=available)

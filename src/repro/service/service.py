@@ -72,8 +72,6 @@ class CampaignService:
     scheduler:
         Cross-tenant dispatch policy; defaults to a fresh
         :class:`~repro.service.scheduler.FairShareScheduler`.
-    metrics:
-        Registry for ``service.*`` metrics (private one by default).
     default_quota:
         When given, unknown tenants are auto-registered with this quota
         on first submit; when ``None`` (default), submitting as an
@@ -83,7 +81,6 @@ class CampaignService:
 
     def __init__(self, sim: Simulator, slots: "list[FacilitySlot]", *,
                  scheduler: Optional[FairShareScheduler] = None,
-                 metrics: Optional[MetricsRegistry] = None,
                  default_quota: Optional[TenantQuota] = None) -> None:
         if not slots:
             raise ValueError("need at least one facility slot")
@@ -91,7 +88,8 @@ class CampaignService:
         self.slots = list(slots)
         self.scheduler = scheduler if scheduler is not None \
             else FairShareScheduler()
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        #: The service's own registry for ``service.*`` metrics.
+        self.metrics = MetricsRegistry()
         self.default_quota = default_quota
         self._tenants: dict[str, TenantState] = {}
         self._seq = 0  # per-service id source, no module globals
@@ -383,16 +381,14 @@ class CampaignService:
     # -- construction sugar ------------------------------------------------
 
     @classmethod
-    def from_testbed(cls, built: Any, *, sites: Optional[list] = None,
-                     **kwargs: Any) -> "CampaignService":
-        """Service over a built testbed: one slot per (chosen) site.
+    def from_testbed(cls, built: Any, **kwargs: Any) -> "CampaignService":
+        """Service over a built testbed: one slot per site.
 
         ``built`` is a :class:`repro.testbed.BuiltTestbed`; each slot
         runs campaigns through that site's orchestrator, so admission,
         fair-share, and reporting wrap the full A1 stack.
         """
-        names = list(built.orchestrators) if sites is None else list(sites)
         slots = [FacilitySlot(name=n,
                               runner=built.orchestrator(n).run_campaign)
-                 for n in names]
+                 for n in built.orchestrators]
         return cls(built.sim, slots, **kwargs)

@@ -55,6 +55,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.events import Event
 
 _INFINITY = float("inf")
+#: Initial width of the near-horizon window (it adapts thereafter).
+INITIAL_SPAN = 1.0
 
 
 class CalendarQueue:
@@ -63,24 +65,21 @@ class CalendarQueue:
     Parameters
     ----------
     start:
-        Initial clock value; the first horizon is ``start + span``.
-    span:
-        Initial width of the near-horizon window (adapts thereafter).
+        Initial clock value; the first horizon is
+        ``start + INITIAL_SPAN``.
     """
 
     __slots__ = ("_buckets", "_times", "_far", "_horizon", "_span",
                  "_active", "_active_time", "_active_idx", "_size",
                  "coalesced", "far_deferred", "migrated", "buckets_opened")
 
-    def __init__(self, start: float = 0.0, span: float = 1.0) -> None:
-        if span <= 0:
-            raise ValueError(f"span must be > 0, got {span}")
+    def __init__(self, start: float = 0.0) -> None:
         # near band: exact fire time -> events appended in seq order
         self._buckets: dict[float, list] = {}
         self._times: list[float] = []          # heap of distinct near times
         self._far: list[tuple] = []            # heap of (time, seq, event)
-        self._span = float(span)
-        self._horizon = float(start) + float(span)
+        self._span = INITIAL_SPAN
+        self._horizon = float(start) + INITIAL_SPAN
         # The bucket currently being drained.  It stays in ``_buckets``
         # (same-time schedules during the drain append to it live) and
         # its time is absent from ``_times`` until it is retired.

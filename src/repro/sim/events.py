@@ -135,13 +135,13 @@ class Timeout(Event):
 
     __slots__ = ("delay",)
 
-    def __init__(self, sim: "Simulator", delay: float, value: Any = None) -> None:
+    def __init__(self, sim: "Simulator", delay: float) -> None:
         if delay < 0:
             raise ValueError(f"negative timeout delay: {delay}")
         self.sim = sim
         self.callbacks = []
         self._ok = True
-        self._value = value
+        self._value = None
         self._defused = False
         self.delay = float(delay)
         sim._schedule(self, delay)

@@ -40,13 +40,13 @@ class Process(Event):
 
     __slots__ = ("_generator", "_target", "name")
 
-    def __init__(self, sim: "Simulator", generator: Generator, name: str = "") -> None:
+    def __init__(self, sim: "Simulator", generator: Generator) -> None:
         if not hasattr(generator, "send") or not hasattr(generator, "throw"):
             raise TypeError(f"{generator!r} is not a generator")
         super().__init__(sim)
         self._generator = generator
         self._target: Optional[Event] = None
-        self.name = name or getattr(generator, "__name__", "process")
+        self.name = getattr(generator, "__name__", "process")
         # Kick the process off via an immediately-scheduled initialization
         # event so that creation order, not construction stack depth,
         # determines execution order.

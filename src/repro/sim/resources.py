@@ -197,8 +197,8 @@ class PriorityStore(Store):
     ``(priority, seq, payload)`` tuples to guarantee a total order.
     """
 
-    def __init__(self, sim: "Simulator", capacity: float = float("inf")) -> None:
-        super().__init__(sim, capacity)
+    def __init__(self, sim: "Simulator") -> None:
+        super().__init__(sim)
         self._heap: list[Any] = []
 
     def __len__(self) -> int:

@@ -7,7 +7,7 @@ half a dozen keywords, then ``make_orchestrator`` with more.  The
 
     built = (Testbed(seed=42, n_sites=2)
              .site("site-0")
-             .with_instruments(synthesis="flow", vendor="kelvin-sci")
+             .with_instruments(vendor="kelvin-sci")
              .with_planner(mode="hierarchical")
              .with_verification()
              .build())
@@ -53,13 +53,10 @@ class _SiteConfig:
 
     name: str
     landscape_factory: Callable[[str], Landscape] = _default_landscape
-    synthesis_kind: str = "flow"
     vendor: str = "aisle-ref"
     planner_mode: str = "hierarchical"
     hallucination_rate: float = 0.25
     optimizer_factory: Optional[Callable[..., Any]] = None
-    safety_envelope: Optional[dict] = None
-    forbidden: Optional[list[dict]] = None
     mtbf_hours: float = float("inf")
     repair_time_s: float = 3600.0
     verified: bool = True
@@ -90,12 +87,10 @@ class SiteBuilder:
             self._config.landscape_factory = factory
         return self
 
-    def with_instruments(self, synthesis: str = "flow",
-                         vendor: str = "aisle-ref", *,
+    def with_instruments(self, vendor: str = "aisle-ref", *,
                          mtbf_hours: float = float("inf"),
                          repair_time_s: float = 3600.0) -> "SiteBuilder":
-        """Synthesis rig kind ("flow"/"batch"), vendor dialect, and MTBF."""
-        self._config.synthesis_kind = synthesis
+        """Vendor dialect of the flow-synthesis rig, MTBF and repair time."""
         self._config.vendor = vendor
         self._config.mtbf_hours = mtbf_hours
         self._config.repair_time_s = repair_time_s
@@ -112,12 +107,6 @@ class SiteBuilder:
     def with_optimizer(self, factory: Callable[..., Any]) -> "SiteBuilder":
         """Optimizer factory ``(space, rng) -> AskTellOptimizer``."""
         self._config.optimizer_factory = factory
-        return self
-
-    def with_safety(self, envelope: Optional[dict] = None,
-                    forbidden: Optional[list[dict]] = None) -> "SiteBuilder":
-        self._config.safety_envelope = envelope
-        self._config.forbidden = forbidden
         return self
 
     # -- orchestration -----------------------------------------------------
@@ -194,11 +183,6 @@ class SiteBuilder:
         self._testbed.with_tracing(tracer)
         return self
 
-    def wan_latency(self, latency_s: float) -> "SiteBuilder":
-        """Testbed-level: see :meth:`Testbed.wan_latency`."""
-        self._testbed.wan_latency(latency_s)
-        return self
-
 
 class Testbed:
     """Declarative builder for a federation of autonomous laboratories.
@@ -221,13 +205,11 @@ class Testbed:
 
     def __init__(self, seed: int = 0, *, n_sites: Optional[int] = None,
                  objective_key: str = "plqy",
-                 sim: Optional[Simulator] = None,
-                 wan_latency_s: float = 0.02) -> None:
+                 sim: Optional[Simulator] = None) -> None:
         self._seed = seed
         self._n_sites = n_sites
         self._objective_key = objective_key
         self._sim = sim
-        self._wan_latency_s = wan_latency_s
         self._secure = False
         self._with_mesh = False
         self._mesh_shards: Optional[int] = None
@@ -275,10 +257,6 @@ class Testbed:
         self._tracer = tracer if tracer is not None else _DEFERRED_TRACER
         return self
 
-    def wan_latency(self, latency_s: float) -> "Testbed":
-        self._wan_latency_s = latency_s
-        return self
-
     # -- sites -------------------------------------------------------------
 
     def site(self, name: str, *,
@@ -309,7 +287,6 @@ class Testbed:
             seed=self._seed, n_sites=n_sites,
             objective_key=self._objective_key, secure=self._secure,
             with_mesh=self._with_mesh, mesh_shards=self._mesh_shards,
-            wan_latency_s=self._wan_latency_s,
             metrics=self._metrics, sim=self._sim,
             tracer=None if tracer is _DEFERRED_TRACER else tracer)
         if tracer is _DEFERRED_TRACER:
@@ -318,12 +295,10 @@ class Testbed:
         for cfg in self._sites:
             fed.add_lab(cfg.name,
                         landscape_factory=cfg.landscape_factory,
-                        synthesis_kind=cfg.synthesis_kind, vendor=cfg.vendor,
+                        vendor=cfg.vendor,
                         planner_mode=cfg.planner_mode,
                         hallucination_rate=cfg.hallucination_rate,
                         optimizer_factory=cfg.optimizer_factory,
-                        safety_envelope=cfg.safety_envelope,
-                        forbidden=cfg.forbidden,
                         mtbf_hours=cfg.mtbf_hours,
                         repair_time_s=cfg.repair_time_s)
 
@@ -401,10 +376,9 @@ class BuiltTestbed:
         proc = self.sim.process(orch.run_campaign(spec))
         return self.sim.run(until=proc)
 
-    def run_report(self, spec: CampaignSpec,
-                   site: Optional[str] = None) -> "CampaignReport":
-        """Run a campaign and return its canonical
-        :class:`~repro.core.report.CampaignReport`.
+    def run_report(self, spec: CampaignSpec) -> "CampaignReport":
+        """Run a campaign on the default site (see :meth:`orchestrator`)
+        and return its canonical :class:`~repro.core.report.CampaignReport`.
 
         This is the unified front door: the report is typed, plain-data
         (``.to_dict()`` is picklable and canonical enough for
@@ -414,17 +388,16 @@ class BuiltTestbed:
         returns, so single-site runs, scale-out worlds, and multi-tenant
         service runs all speak one result type.
         """
-        result = self.run(spec, site)
+        result = self.run(spec)
         return CampaignReport.from_result(result,
                                           sim_seconds=float(self.sim.now),
                                           target=spec.target)
 
-    def as_service(self, *, sites: Optional[list] = None,
-                   **kwargs: Any) -> "CampaignService":
+    def as_service(self, **kwargs: Any) -> "CampaignService":
         """A multi-tenant :class:`~repro.service.CampaignService` whose
-        facility slots are this testbed's sites (one slot per site; pass
-        ``sites=[...]`` to choose).  Keyword arguments forward to the
-        service constructor (``scheduler=``, ``default_quota=``, ...).
+        facility slots are this testbed's sites (one slot per site).
+        Keyword arguments forward to the service constructor
+        (``scheduler=``, ``default_quota=``, ...).
         """
         from repro.service.service import CampaignService
-        return CampaignService.from_testbed(self, sites=sites, **kwargs)
+        return CampaignService.from_testbed(self, **kwargs)

@@ -138,8 +138,7 @@ def test_supervisor_detects_and_restarts_crashed_agent(sim, runtime):
 
 def test_supervisor_detects_hung_agent_via_heartbeat_silence(sim, runtime):
     a = Agent(sim, "a1", "site-0", runtime, heartbeat_interval_s=1.0).start()
-    sup = Supervisor(sim, check_interval_s=1.0, timeout_multiplier=3.0,
-                     restart_delay_s=2.0)
+    sup = Supervisor(sim, check_interval_s=1.0, restart_delay_s=2.0)
     sup.watch(a)
     sup.start()
 

@@ -21,8 +21,7 @@ def land(space):
 
 def test_publication_bias_skews_corpus(land):
     rng = np.random.default_rng(0)
-    lit = SyntheticLiterature(land, rng, n_papers=30,
-                              publication_quantile=0.5)
+    lit = SyntheticLiterature(land, rng, n_papers=30)
     published_truths = [p.true_value for p in lit.corpus]
     random_truths = [land.objective_value(land.space.sample(rng))
                      for _ in range(300)]
@@ -49,7 +48,7 @@ def test_search_orders_by_reported_value(land):
 
 def test_review_seeds_optimizer_and_costs_time(sim, land):
     lit = SyntheticLiterature(land, np.random.default_rng(3), n_papers=20)
-    agent = LiteratureAgent(sim, lit, review_time_per_paper_s=300.0)
+    agent = LiteratureAgent(sim, lit)
     bo = BayesianOptimizer(land.space, np.random.default_rng(4), n_init=6)
     out = {}
 

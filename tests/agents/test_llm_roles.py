@@ -165,6 +165,20 @@ def test_hierarchical_plan_comes_from_optimizer(sim, trio):
     assert planner.optimizer.space.contains(plan.params)
 
 
+def test_planner_counts_posterior_errors(sim, trio):
+    planner, _, _ = trio
+
+    def broken_posterior(params):
+        raise ValueError("surrogate not ready")
+
+    planner.optimizer.posterior_at = broken_posterior
+    assert "posterior_errors" not in planner.plan_stats
+    plan = run(sim, planner.next_plan())
+    # Fails open: the plan goes out without an expected objective.
+    assert plan.source == "optimizer" and plan.expected == {}
+    assert planner.plan_stats["posterior_errors"] == 1
+
+
 def test_llm_direct_plan_pays_latency_each_time(sim, trio):
     planner, _, _ = trio
     planner.mode = "llm-direct"

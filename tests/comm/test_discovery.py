@@ -10,8 +10,7 @@ def setup(sim, testbed_network):
     registry = ServiceRegistry(sim)
     daemons = {
         f"site-{i}": DnsSd(sim, testbed_network, registry,
-                           registry_site="site-0", site=f"site-{i}",
-                           cache_ttl_s=5.0)
+                           registry_site="site-0", site=f"site-{i}")
         for i in range(5)
     }
     return registry, daemons

@@ -14,8 +14,7 @@ def group(sim, testbed_network):
         srv.register("echo", lambda p: p)
         FailoverGroup.install_health_endpoint(srv)
         replicas.append(srv)
-    return FailoverGroup(sim, replicas, heartbeat_interval_s=0.1,
-                         heartbeat_misses=2)
+    return FailoverGroup(sim, replicas, heartbeat_interval_s=0.1)
 
 
 @pytest.fixture

@@ -27,7 +27,7 @@ def two_site_topo():
 
 @pytest.fixture
 def testbed_topo():
-    return Topology.national_lab_testbed(5, latency_s=0.02, jitter_s=0.0)
+    return Topology.national_lab_testbed(5, jitter_s=0.0)
 
 
 @pytest.fixture

@@ -109,6 +109,20 @@ def test_unreachable_peer_donation_lost(sim, testbed_topo, rngs, space):
     assert kb.total_donations_at("site-2") == 1
 
 
+def test_unroutable_donation_is_counted(sim, testbed_topo, rngs, space):
+    from repro.net import FaultInjector, Network
+    faults = FaultInjector(sim)
+    network = Network(sim, testbed_topo, rngs.stream("net"), faults)
+    kb, _ = make_kb(sim, network, space, "raw")
+    faults.fail_site("site-1")
+    kb.publish("site-0", {"x": 0.5}, 0.7)
+    kb.publish("site-2", {"x": 0.1}, 0.2)
+    sim.run(until=5.0)
+    # Both donations to the dead site are lost, counted; the rest arrive.
+    assert kb.stats["lost"] == 2
+    assert kb.stats["propagated"] == 2
+
+
 def test_reasoning_traces_collected(sim, testbed_network, space):
     kb, _ = make_kb(sim, testbed_network, space, "raw")
     kb.publish("site-0", {"x": 0.5}, 0.7, trace="plan-1: BO argmax")

@@ -4,8 +4,7 @@ federation builder, and the campaign/metrics accounting."""
 import pytest
 
 from repro.core import (CampaignResult, CampaignSpec, ExperimentRecord,
-                        FederationManager, experiments_to_target, speedup,
-                        time_to_target)
+                        FederationManager, speedup)
 from repro.core.metrics import reduction_fraction
 from repro.labsci import QuantumDotLandscape
 
@@ -62,15 +61,15 @@ def make_result(objectives, dt=10.0):
 
 def test_time_and_experiments_to_target():
     r = make_result([0.1, 0.3, 0.6, 0.9])
-    assert time_to_target(r, 0.5) == pytest.approx(30.0)
-    assert experiments_to_target(r, 0.5) == 3
-    assert time_to_target(r, 0.95) is None
-    assert experiments_to_target(r, 0.95) is None
+    assert r.report(target=0.5).time_to_target == pytest.approx(30.0)
+    assert r.report(target=0.5).experiments_to_target == 3
+    assert r.report(target=0.95).time_to_target is None
+    assert r.report(target=0.95).experiments_to_target is None
 
 
 def test_invalid_records_do_not_count_toward_target():
     r = make_result([0.1, None, 0.6])
-    assert experiments_to_target(r, 0.5) == 3
+    assert r.report(target=0.5).experiments_to_target == 3
 
 
 def test_speedup_and_reduction():

@@ -127,8 +127,7 @@ def test_failover_probe_deadline_survives_aggressive_heartbeat(
         srv = RpcServer(sim, f"r{i}", site=f"site-{i + 1}")
         FailoverGroup.install_health_endpoint(srv)
         replicas.append(srv)
-    group = FailoverGroup(sim, replicas, heartbeat_interval_s=0.05,
-                          heartbeat_misses=2)
+    group = FailoverGroup(sim, replicas, heartbeat_interval_s=0.05)
     client = RpcClient(sim, testbed_network, site="site-0")
     group.start_monitor(client)
     sim.run(until=10.0)

@@ -103,16 +103,7 @@ def test_metrics_view_supports_arm_comparisons():
     assert m.reduction_vs(baseline) == pytest.approx(1.0 - 3.0 / 9.0)
 
 
-# -- report-path helpers stay silent -------------------------------------------
-
-def test_module_level_metric_helpers_stay_silent():
-    from repro.core.metrics import experiments_to_target, time_to_target
-    result = _result(target=0.5)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", DeprecationWarning)
-        assert time_to_target(result, 0.5) == pytest.approx(250.0)
-        assert experiments_to_target(result, 0.5) == 3
-
+# -- the report path stays silent ------------------------------------------------
 
 def test_report_method_stays_silent():
     with warnings.catch_warnings():

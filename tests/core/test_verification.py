@@ -131,6 +131,19 @@ def test_surrogate_verifier_passes_without_data():
     assert ver.check(plan({"x": 0.5}, expected={"objective": 1e6})) == []
 
 
+def test_surrogate_verifier_counts_posterior_failures():
+    class BrokenSurrogate:
+        n_observed = 20
+
+        def posterior_at(self, params):
+            raise ValueError("unencodable params")
+
+    ver = SurrogateConsistencyVerifier(BrokenSurrogate())
+    # Fails open (no rejection) but the unscored plan is counted.
+    assert ver.check(plan({"x": 0.5}, expected={"objective": 1e6})) == []
+    assert ver.stats == {"checks": 1, "rejections": 0, "unscored": 1}
+
+
 # -- the stack ----------------------------------------------------------------------------
 
 def test_stack_short_circuits_cheap_first(sim, physics, twin_verifier,

@@ -112,7 +112,7 @@ def test_microscope_image_and_uniformity(sim, rngs, sample):
 
 def test_furnace_anneal_improves_near_optimum(sim, rngs, sample):
     furnace = TubeFurnace(sim, "furnace-1", "ornl", rngs,
-                          optimal_anneal_C=180.0, ramp_rate_C_per_s=10.0)
+                          ramp_rate_C_per_s=10.0)
     before = sample.true_property("plqy")
     factor = run(sim, furnace.anneal(sample, temperature=180.0,
                                      hold_time_s=600.0))
@@ -122,7 +122,7 @@ def test_furnace_anneal_improves_near_optimum(sim, rngs, sample):
 
 def test_furnace_overheating_degrades(sim, rngs, sample):
     furnace = TubeFurnace(sim, "furnace-1", "ornl", rngs,
-                          optimal_anneal_C=180.0, ramp_rate_C_per_s=10.0)
+                          ramp_rate_C_per_s=10.0)
     factor = run(sim, furnace.anneal(sample, temperature=1100.0,
                                      hold_time_s=60.0))
     assert factor < 1.0
@@ -166,8 +166,7 @@ def test_liquid_handler_deck_eviction(sim, rngs):
 
 def test_flow_reactor_fast_and_frugal(sim, rngs, qd_landscape, qd_params):
     flow = FluidicReactor(sim, "flow-1", "ornl", rngs, qd_landscape,
-                          sample_time_s=12.0, prime_time_s=120.0,
-                          reagent_per_sample_mL=0.05)
+                          sample_time_s=12.0, prime_time_s=120.0)
     samples = run(sim, flow.sweep([qd_params] * 10))
     assert len(samples) == 10
     # First condition pays priming; the rest are 12 s each.
@@ -202,9 +201,8 @@ def test_flow_vs_batch_acquisition_rate(sim, rngs, qd_landscape, qd_params):
     # The structural precondition of E7: flow makes >100x samples per
     # reagent unit and far more per unit time.
     batch = BatchSynthesisRobot(sim, "batch-1", "ornl", rngs, qd_landscape,
-                                batch_time_s=1800.0,
-                                reagent_per_sample_mL=10.0)
+                                batch_time_s=1800.0)
     flow = FluidicReactor(sim, "flow-1", "ornl", rngs, qd_landscape,
-                          sample_time_s=12.0, reagent_per_sample_mL=0.05)
+                          sample_time_s=12.0)
     assert (batch.batch_time_s / flow.sample_time_s) > 100
     assert (batch.reagent_per_sample_mL / flow.reagent_per_sample_mL) > 100

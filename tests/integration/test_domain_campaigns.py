@@ -55,7 +55,7 @@ def test_polymer_pipeline_with_anneal_step(sim, rngs):
     from repro.labsci import Sample
     land = PolymerFilmLandscape(seed=4)
     furnace = TubeFurnace(sim, "furnace", "s", rngs,
-                          optimal_anneal_C=180.0, ramp_rate_C_per_s=5.0)
+                          ramp_rate_C_per_s=5.0)
     sem = ElectronMicroscope(sim, "sem", "s", rngs, image_time_s=60.0,
                              image_px=32)
     params = {"solvent_blend": "chlorobenzene", "coating_speed": 5.0,
@@ -98,7 +98,7 @@ def test_polymer_campaign_improves_conductivity():
 
 def test_perovskite_emission_targeting():
     """Optimize 'quality' (PLQY x wavelength match) toward 520 nm."""
-    land = PerovskiteLandscape(seed=5, target_nm=520.0)
+    land = PerovskiteLandscape(seed=5)
     bo = BayesianOptimizer(land.space, np.random.default_rng(4), n_init=10)
     for _ in range(60):
         p = bo.ask()

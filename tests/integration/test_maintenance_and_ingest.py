@@ -31,8 +31,7 @@ def test_maintenance_requires_calibration_model(sim, rngs):
 
 def test_maintenance_bounds_drift(sim, rngs, drifty_spec, qd_landscape,
                                   qd_params):
-    agent = MaintenanceAgent(sim, check_interval_s=1800.0,
-                             bias_tolerance=0.05)
+    agent = MaintenanceAgent(sim, check_interval_s=1800.0)
     agent.watch(drifty_spec)
     agent.start()
     sample = Sample.synthesize(qd_params, qd_landscape)

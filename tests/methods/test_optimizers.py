@@ -55,8 +55,8 @@ def test_ei_monotone_in_mean():
 
 
 def test_ucb_tradeoff():
-    assert upper_confidence_bound(np.array([0.5]), np.array([0.2]),
-                                  beta=2.0)[0] == pytest.approx(0.9)
+    assert upper_confidence_bound(np.array([0.5]),
+                                  np.array([0.2]))[0] == pytest.approx(0.9)
 
 
 def test_pi_bounded():
@@ -107,7 +107,7 @@ def test_grid_search_validation(mixed_space):
 
 
 def test_latin_hypercube_stratifies(cont_space):
-    lhs = LatinHypercube(cont_space, np.random.default_rng(0), block=16)
+    lhs = LatinHypercube(cont_space, np.random.default_rng(0))
     xs = sorted(lhs.ask()["x"] for _ in range(16))
     # one sample per stratum of width 1/16
     strata = {int(v * 16) for v in xs}
@@ -115,7 +115,7 @@ def test_latin_hypercube_stratifies(cont_space):
 
 
 def test_latin_hypercube_discrete_balanced(mixed_space):
-    lhs = LatinHypercube(mixed_space, np.random.default_rng(0), block=16)
+    lhs = LatinHypercube(mixed_space, np.random.default_rng(0))
     from collections import Counter
     counts = Counter(lhs.ask()["chem"] for _ in range(16))
     assert set(counts) == {"a", "b", "c", "d"}

@@ -25,7 +25,7 @@ def test_testbed_matches_hand_wired_federation():
 
     built = (Testbed(seed=42)
              .site("site-0", landscape=lambda s: QuantumDotLandscape(seed=7))
-             .with_instruments(synthesis="flow", vendor="kelvin-sci")
+             .with_instruments(vendor="kelvin-sci")
              .with_verification()
              .build())
     by_builder = built.run(spec, site="site-0")
@@ -61,6 +61,39 @@ def test_fault_tolerance_wires_alternates():
     assert ft is not None
     assert [alt.site for alt in ft.alternates] == ["site-1"]
     assert built.orchestrator("site-1").fault_tolerant is None
+
+
+def _fault_tolerant_campaign(traced: bool):
+    """A site-0 campaign on fault-prone instruments, failing over to
+    site-1; returns the built testbed and the campaign result."""
+    testbed = Testbed(3, n_sites=2)
+    if traced:
+        testbed.with_tracing()
+    built = (testbed
+             .site("site-0", landscape=QuantumDotLandscape(seed=7))
+             .with_instruments(mtbf_hours=0.25, repair_time_s=1200.0)
+             .with_fault_tolerance("site-1")
+             .site("site-1", landscape=QuantumDotLandscape(seed=7))
+             .build())
+    spec = CampaignSpec(name="ft", objective_key="plqy", max_experiments=10)
+    return built, built.run(spec, site="site-0")
+
+
+def test_fault_tolerant_executor_traces_attempts():
+    from repro.obs.trace import Tracer
+    from repro.scale.hashing import decision_hash
+
+    built, result = _fault_tolerant_campaign(traced=True)
+    ft = built.orchestrator("site-0").fault_tolerant
+    assert isinstance(ft.tracer, Tracer) and ft.tracer is built.tracer
+    assert ft.stats["faults_handled"] >= 1
+    attempts = [e for e in built.tracer.events
+                if e.kind == "span-start" and e.name == "resilience.attempt"]
+    assert len(attempts) > result.report().n_experiments
+    # Tracing never changes a decision.
+    _, untraced = _fault_tolerant_campaign(traced=False)
+    assert decision_hash(result.report().to_dict()) == \
+        decision_hash(untraced.report().to_dict())
 
 
 def test_build_requires_at_least_one_site():

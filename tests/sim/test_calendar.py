@@ -106,7 +106,7 @@ def test_calendar_respects_stop_at_boundaries(seed):
 
 
 def test_far_band_defers_and_migrates_in_order():
-    queue = CalendarQueue(start=0.0, span=1.0)
+    queue = CalendarQueue(start=0.0)
     queue.push(500.0, 0, "far-a")     # beyond horizon -> far band
     queue.push(500.0, 1, "far-b")     # same-time tie in the far band
     queue.push(0.5, 2, "near")
@@ -121,7 +121,7 @@ def test_far_band_defers_and_migrates_in_order():
 
 
 def test_span_doubles_on_migration_but_never_reorders():
-    queue = CalendarQueue(start=0.0, span=1.0)
+    queue = CalendarQueue(start=0.0)
     span0 = queue._span
     queue.push(10.0, 0, "a")
     assert queue.pop_due(_INF) == "a"

@@ -168,8 +168,8 @@ def test_manual_working_hours_window():
     from repro.core.manual import DAY, ManualOrchestrator
 
     class Stub(ManualOrchestrator):
-        def __init__(self):
-            self.workday = (9.0, 17.0)
+        def __init__(self):  # the working-hours math needs no wiring
+            pass
 
     stub = Stub()
     # 3 am -> 9 am same day; noon stays; 8 pm -> 9 am next day.
