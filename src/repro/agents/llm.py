@@ -29,6 +29,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: (lo, hi) of the uniform per-call latency.
 LATENCY_RANGE_S = (0.8, 3.0)
+#: The ways a hallucinated proposal goes wrong (see ``_hallucinate``).
+HALLUCINATION_MODES = ("unsafe", "confabulated", "invalid")
 
 
 @dataclass
@@ -121,7 +123,7 @@ class SimulatedLLM:
             choice = preferred
             grounded = True
         else:
-            choice = str(self.rng.choice(tools))
+            choice = tools[int(self.rng.integers(len(tools)))]
             grounded = choice == preferred
         return LLMResponse("select_tool", {"tool": choice, "goal": goal},
                            latency, tokens, grounded=grounded)
@@ -166,7 +168,8 @@ class SimulatedLLM:
            "remembers" a chemistry that does not exist here).
         """
         params = self._plausible_proposal(space, history)
-        mode = self.rng.choice(["unsafe", "confabulated", "invalid"])
+        mode = HALLUCINATION_MODES[
+            int(self.rng.integers(len(HALLUCINATION_MODES)))]
         if mode == "unsafe":
             cont = [d for d in space.continuous]
             d = cont[int(self.rng.integers(0, len(cont)))] if cont else None

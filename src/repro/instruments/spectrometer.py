@@ -22,6 +22,13 @@ WAVELENGTH_NOISE_NM = 0.8
 #: The synthetic spectrum's wavelength axis: range (nm) and channels.
 WAVELENGTH_RANGE = (350.0, 900.0)
 N_CHANNELS = 1024
+#: The wavelength axis itself and its instrument baseline, built once
+#: and shared read-only by every measurement.
+WAVELENGTH_GRID = np.linspace(*WAVELENGTH_RANGE, N_CHANNELS)
+WAVELENGTH_GRID.flags.writeable = False
+BASELINE = 0.02 + 0.005 * np.sin(WAVELENGTH_GRID / 120.0)
+BASELINE.flags.writeable = False
+
 
 class PLSpectrometer(Instrument):
     """Fluorescence spectrometer with drift-prone wavelength axis."""
@@ -40,13 +47,11 @@ class PLSpectrometer(Instrument):
     def _synthesize_spectrum(self, center_nm: float,
                              intensity: float) -> np.ndarray:
         """Gaussian emission peak + baseline + shot noise."""
-        lo, hi = WAVELENGTH_RANGE
-        wl = np.linspace(lo, hi, N_CHANNELS)
+        wl = WAVELENGTH_GRID
         width = 18.0 + 6.0 * self.rng.random()
         signal = intensity * np.exp(-((wl - center_nm) / width) ** 2)
-        baseline = 0.02 + 0.005 * np.sin(wl / 120.0)
         noise = self.rng.normal(0.0, 0.004, size=wl.shape)
-        return np.vstack([wl, signal + baseline + noise])
+        return np.vstack([wl, signal + BASELINE + noise])
 
     def measure(self, sample: Sample, requester: str = ""):
         """Generator: acquire a PL spectrum; returns a :class:`Measurement`."""

@@ -8,6 +8,18 @@ response peaks in that space, seeded per instance, yielding smooth
 multi-modal objectives whose global optimum is known to the test harness
 but not to the optimizer.
 
+Scalar stream contract
+----------------------
+
+:meth:`ParameterSpace.sample` consumes the generator in declared
+dimension order: one ``rng.integers(n_choices)`` per discrete dim (the
+choice is ``choices[index]``) and one ``rng.random(k)`` per run of ``k``
+consecutive continuous dims (each value is ``low + (high - low) * u``).
+That stream, values and final generator state, is bit-identical to the
+original per-dim ``rng.uniform(low, high)`` / ``rng.choice(list(choices))``
+body, at a fraction of its per-call cost; moving to it moved no decision
+hash.
+
 Batch fast path and the canonical draw-order contract
 -----------------------------------------------------
 
@@ -39,6 +51,7 @@ space thousands of times per decision, so the space carries a vectorized
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Optional, Sequence
 
@@ -127,6 +140,21 @@ class ParameterSpace:
             offset += width
         self._enc_spans: tuple[tuple[int, int], ...] = tuple(spans)
         self._encoded_size = offset
+        # The sample() plan: discrete dims, and runs of consecutive
+        # continuous dims as (names, lows, widths).  Widths are
+        # float(high) - float(low), the double Generator.uniform uses.
+        runs: list[Any] = []
+        for continuous, group in itertools.groupby(
+                self.dims, key=lambda d: isinstance(d, ContinuousDim)):
+            if continuous:
+                run = tuple(group)
+                runs.append((tuple(d.name for d in run),
+                             tuple(float(d.low) for d in run),
+                             tuple(float(d.high) - float(d.low)
+                                   for d in run)))
+            else:
+                runs.extend(group)
+        self._sample_runs: tuple[Any, ...] = tuple(runs)
 
     def __iter__(self):
         return iter(self.dims)
@@ -168,16 +196,20 @@ class ParameterSpace:
     def sample(self, rng: np.random.Generator) -> dict[str, Any]:
         """Uniform random point in the space (scalar path).
 
-        Consumes the generator one variate per dimension per point; the
-        batched :meth:`sample_batch` deliberately uses a different (per-dim
-        column) consumption order — see the module docstring.
+        Follows the scalar stream contract in the module docstring; the
+        batched :meth:`sample_batch` deliberately uses a different
+        (per-dim column) consumption order.
         """
         out: dict[str, Any] = {}
-        for d in self.dims:
-            if isinstance(d, ContinuousDim):
-                out[d.name] = float(rng.uniform(d.low, d.high))
+        for run in self._sample_runs:
+            if isinstance(run, DiscreteDim):
+                choices = run.choices
+                out[run.name] = choices[int(rng.integers(len(choices)))]
             else:
-                out[d.name] = str(rng.choice(list(d.choices)))
+                names, lows, widths = run
+                draws = rng.random(len(names)).tolist()
+                out.update(zip(names, [lo + w * u for lo, w, u
+                                       in zip(lows, widths, draws)]))
         return out
 
     # -- batched raw-matrix fast path ----------------------------------------------

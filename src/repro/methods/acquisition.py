@@ -9,7 +9,7 @@ per-candidate Python iteration — the contract the batched
 from __future__ import annotations
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
 
 #: Posterior-std floor for improvement-based acquisitions.  The GP
 #: reports std == 0 exactly at observed points (and can numerically
@@ -22,6 +22,14 @@ STD_FLOOR = 1e-12
 XI = 0.01
 #: GP-UCB's weight on the posterior std.
 BETA = 2.0
+#: The standard normal pdf's normalizer, as ``scipy.stats.norm`` has it.
+_SQRT_2PI = np.sqrt(2 * np.pi)
+
+
+def _norm_pdf(z: np.ndarray) -> np.ndarray:
+    """Standard normal pdf: the expression ``scipy.stats.norm.pdf``
+    evaluates, without its per-call argument checking."""
+    return np.exp(-z**2 / 2.0) / _SQRT_2PI
 
 
 def expected_improvement(mean: np.ndarray, std: np.ndarray,
@@ -29,7 +37,7 @@ def expected_improvement(mean: np.ndarray, std: np.ndarray,
     """EI over the incumbent ``best`` with exploration jitter :data:`XI`."""
     std = np.maximum(std, STD_FLOOR)
     z = (mean - best - XI) / std
-    return (mean - best - XI) * norm.cdf(z) + std * norm.pdf(z)
+    return (mean - best - XI) * ndtr(z) + std * _norm_pdf(z)
 
 
 def upper_confidence_bound(mean: np.ndarray, std: np.ndarray) -> np.ndarray:
@@ -41,7 +49,7 @@ def probability_of_improvement(mean: np.ndarray, std: np.ndarray,
                                best: float) -> np.ndarray:
     """P(f(x) > best + XI)."""
     std = np.maximum(std, STD_FLOOR)
-    return norm.cdf((mean - best - XI) / std)
+    return ndtr((mean - best - XI) / std)
 
 
 def thompson_sample(gp, X: np.ndarray,

@@ -124,10 +124,10 @@ class QLearningScheduler:
             raise ValueError("no available actions")
         if self.rng.random() < self.epsilon:
             self.stats["explorations"] += 1
-            return str(self.rng.choice(list(options)))
+            return options[int(self.rng.integers(len(options)))]
         values = np.array([self.q(state, a) for a in options])
         best = np.flatnonzero(values == values.max())
-        return options[int(self.rng.choice(best))]
+        return options[int(best[int(self.rng.integers(len(best)))])]
 
     def update(self, state: Hashable, action: str, reward: float,
                next_state: Optional[Hashable] = None) -> None:

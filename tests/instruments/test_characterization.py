@@ -206,3 +206,31 @@ def test_flow_vs_batch_acquisition_rate(sim, rngs, qd_landscape, qd_params):
                           sample_time_s=12.0)
     assert (batch.batch_time_s / flow.sample_time_s) > 100
     assert (batch.reagent_per_sample_mL / flow.reagent_per_sample_mL) > 100
+
+
+def test_spectrum_matches_reference_formula(sim, rngs):
+    import copy
+
+    from repro.instruments.spectrometer import (N_CHANNELS, WAVELENGTH_GRID,
+                                                WAVELENGTH_RANGE)
+    spec = PLSpectrometer(sim, "spec-1", "ornl", rngs)
+    ref_rng = copy.deepcopy(spec.rng)
+    got = spec._synthesize_spectrum(612.5, 0.4)
+    # The spectrum as originally written: grid and baseline rebuilt per call.
+    wl = np.linspace(*WAVELENGTH_RANGE, N_CHANNELS)
+    width = 18.0 + 6.0 * ref_rng.random()
+    signal = 0.4 * np.exp(-((wl - 612.5) / width) ** 2)
+    baseline = 0.02 + 0.005 * np.sin(wl / 120.0)
+    noise = ref_rng.normal(0.0, 0.004, size=wl.shape)
+    assert np.array_equal(got, np.vstack([wl, signal + baseline + noise]))
+    assert spec.rng.bit_generator.state == ref_rng.bit_generator.state
+    assert np.array_equal(WAVELENGTH_GRID, wl)
+    assert got.flags.writeable
+
+
+def test_shared_wavelength_grid_is_read_only():
+    from repro.instruments.spectrometer import BASELINE, WAVELENGTH_GRID
+    for shared in (WAVELENGTH_GRID, BASELINE):
+        assert not shared.flags.writeable
+        with pytest.raises(ValueError):
+            shared[0] = 0.0

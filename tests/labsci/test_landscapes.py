@@ -272,3 +272,59 @@ def test_objective_batch_matches_objective_value(space):
     vals = land.objective_batch(points)
     for i, p in enumerate(points):
         assert vals[i] == land.objective_value(p)
+
+
+# -- scalar sample() stream contract ------------------------------------------------
+
+def _reference_sample(space, rng):
+    """The original scalar body: one ``uniform`` per continuous dim and
+    one ``choice`` over the choice list per discrete dim."""
+    out = {}
+    for d in space.dims:
+        if isinstance(d, ContinuousDim):
+            out[d.name] = float(rng.uniform(d.low, d.high))
+        else:
+            out[d.name] = str(rng.choice(list(d.choices)))
+    return out
+
+
+def _stream_spaces():
+    from repro.labsci.metallic_glass import metallic_glass_space
+    from repro.labsci.perovskite import perovskite_space
+    from repro.labsci.polymer import polymer_space
+    from repro.labsci.quantum_dots import quantum_dot_space
+    return {
+        "quantum_dot": quantum_dot_space(),
+        "perovskite": perovskite_space(),
+        "polymer": polymer_space(),
+        "metallic_glass": metallic_glass_space(),
+        "interleaved": ParameterSpace([
+            ContinuousDim("a", -3.5, 7.25),
+            DiscreteDim("b", ("x", "y", "z")),
+            ContinuousDim("c", 0.1, 0.2),
+            ContinuousDim("d", 1e-3, 1e3),
+            DiscreteDim("e", ("p", "q", "r", "s", "t", "u", "v")),
+        ]),
+        "int_bounds": ParameterSpace([
+            ContinuousDim("i", 0, 10),
+            ContinuousDim("j", -5, 5),
+            DiscreteDim("k", ("u", "v")),
+            ContinuousDim("m", 1, 3),
+        ]),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_stream_spaces()))
+def test_sample_stream_identical_to_reference(name):
+    space = _stream_spaces()[name]
+    for seed in range(16):
+        rng = np.random.default_rng(seed)
+        ref_rng = np.random.default_rng(seed)
+        for _ in range(200):
+            got = space.sample(rng)
+            want = _reference_sample(space, ref_rng)
+            assert got == want
+            assert list(got) == list(want)
+            assert ([type(v) for v in got.values()]
+                    == [type(v) for v in want.values()])
+        assert rng.bit_generator.state == ref_rng.bit_generator.state

@@ -66,6 +66,29 @@ def test_pi_bounded():
     assert pi[1] > 0.99
 
 
+def test_acquisitions_bit_identical_to_scipy_stats_norm():
+    from scipy.stats import norm
+
+    from repro.methods.acquisition import STD_FLOOR, XI
+    best = 0.0
+    zs = np.concatenate([np.linspace(-40.0, 40.0, 161), [-0.0]])
+    stds = np.array([0.0, STD_FLOOR, 1e-6, 0.1, 1.0, 10.0])
+    z, std = (a.ravel() for a in np.meshgrid(zs, stds))
+    mean = best + XI + z * np.maximum(std, STD_FLOOR)
+    rng = np.random.default_rng(0)
+    mean = np.concatenate([mean, rng.normal(0.0, 1.0, 2000)])
+    std = np.concatenate([std, np.abs(rng.normal(0.0, 1.0, 2000))])
+
+    floored = np.maximum(std, STD_FLOOR)
+    ref_z = (mean - best - XI) / floored
+    assert np.any(ref_z == 0.0)
+    assert ref_z.min() <= -40.0 + 1e-9 and ref_z.max() >= 40.0 - 1e-9
+    ref_ei = (mean - best - XI) * norm.cdf(ref_z) + floored * norm.pdf(ref_z)
+    assert np.array_equal(expected_improvement(mean, std, best), ref_ei)
+    assert np.array_equal(probability_of_improvement(mean, std, best),
+                          norm.cdf(ref_z))
+
+
 def test_score_candidates_dispatch():
     rng = np.random.default_rng(0)
     X = rng.random((20, 2))
