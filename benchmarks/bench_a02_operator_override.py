@@ -44,7 +44,7 @@ def _run(config: str, seed: int):
             verifiers.extend(fed.verification_stack(lab).verifiers)
         if config in ("operator", "both"):
             verifiers.append(operator)
-        verification = VerificationStack(fed.sim, verifiers)
+        verification = VerificationStack(fed.sim, lab.name, verifiers)
 
     orch = HierarchicalOrchestrator(fed.sim, lab.planner, lab.executor,
                                     lab.evaluator,

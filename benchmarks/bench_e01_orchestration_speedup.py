@@ -21,7 +21,6 @@ SEED = 21
 
 def _run_arm(mode: str):
     built = (Testbed(seed=SEED)
-             .with_metrics()
              .site("site-0", landscape=QuantumDotLandscape(seed=7))
              .with_verification()
              .build())

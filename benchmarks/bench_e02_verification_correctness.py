@@ -33,7 +33,7 @@ def _stack_for(fed, lab, config: str):
     twin = TwinVerifier(lab.twin, objective_key="plqy")
     verifiers = {"constraints": [physics], "twin": [twin],
                  "full": [physics, twin]}[config]
-    return VerificationStack(fed.sim, verifiers)
+    return VerificationStack(fed.sim, lab.name, verifiers)
 
 
 def _run(config: str, seed: int):

@@ -14,7 +14,6 @@ failover recovery time, ablated over heartbeat cadence.
 from benchmarks.conftest import fmt, report
 from repro.comm import FailoverGroup, RpcClient, RpcServer
 from repro.net import FaultInjector, Network, Topology
-from repro.obs import MetricsRegistry
 from repro.security import (FederatedIdentityProvider, Identity,
                             PolicyEngine, TrustFabric, ZeroTrustGateway)
 from repro.security.abac import allow_all_within_federation
@@ -26,10 +25,8 @@ N_CALLS = 300
 def _secured_world(seed=5, n_sites=4):
     sim = Simulator()
     rngs = RngRegistry(seed)
-    metrics = MetricsRegistry()
     topo = Topology.national_lab_testbed(n_sites, jitter_s=0.004)
-    net = Network(sim, topo, rngs.stream("net"), FaultInjector(sim),
-                  metrics=metrics)
+    net = Network(sim, topo, rngs.stream("net"), FaultInjector(sim))
     fabric = TrustFabric()
     site_institution = {}
     for site in topo.sites():
@@ -42,16 +39,15 @@ def _secured_world(seed=5, n_sites=4):
     gateway = ZeroTrustGateway(sim, fabric, PolicyEngine(
         allow_all_within_federation()), site_institution=site_institution,
         verify_latency_s=0.001)
-    return sim, rngs, net, fabric, gateway, metrics
+    return sim, rngs, net, fabric, gateway
 
 
 def _latency_sweep():
-    sim, rngs, net, fabric, gateway, metrics = _secured_world()
+    sim, rngs, net, fabric, gateway = _secured_world()
     server = RpcServer(sim, "svc", site="site-2", handler_delay_s=0.002)
     server.register("act", lambda p: p)
     token = fabric.provider("Lab 0").issue("agent@Lab 0", ttl_s=30.0)
-    client = RpcClient(sim, net, site="site-0", gateway=gateway, token=token,
-                       metrics=metrics)
+    client = RpcClient(sim, net, site="site-0", gateway=gateway, token=token)
     # Continuous auth: keep the short-lived token refreshed mid-sweep.
     idp = fabric.provider("Lab 0")
     sim.process(gateway.refresh_loop(idp, "agent@Lab 0", client))
@@ -67,7 +63,7 @@ def _latency_sweep():
 
 
 def _failover(heartbeat_s: float):
-    sim, rngs, net, fabric, gateway, _metrics = _secured_world(seed=6)
+    sim, rngs, net, fabric, gateway = _secured_world(seed=6)
     replicas = []
     for i in range(3):
         srv = RpcServer(sim, f"rep-{i}", site=f"site-{i + 1}")

@@ -3,10 +3,11 @@
 
 Runs a two-site federated campaign with the full :mod:`repro.obs` stack
 wired in — a :class:`~repro.obs.trace.Tracer` turning the orchestrator's
-plan/verify/execute/evaluate loop into a span tree, and a shared
-:class:`~repro.obs.metrics.MetricsRegistry` collecting counters and
-streaming latency histograms from every layer (bus, transport, HAL,
-fault tolerance, campaign loop).
+plan/verify/execute/evaluate loop into a span tree, and the world's
+:class:`~repro.obs.metrics.MetricsRegistry` (``built.metrics``, the
+kernel's ``sim.metrics``) collecting counters and streaming latency
+histograms from every layer (agents, LLM, verification, instruments,
+HAL, transport, fault tolerance, campaign loop).
 
 Everything is stamped with *simulation* time and a deterministic
 sequence number: the exported JSON-lines trace is byte-identical across
@@ -28,7 +29,6 @@ SEED = 11
 
 def build():
     return (Testbed(seed=SEED)
-            .with_metrics()          # one registry for the whole federation
             .with_tracing()          # span-tree tracing of every campaign
             .with_knowledge()        # cross-site knowledge sharing (M9)
             .site("site-0", landscape=QuantumDotLandscape(seed=7))

@@ -41,7 +41,8 @@ class AgentRuntime:
         self.sim = sim
         self.network = network
         self._agents: dict[str, "Agent"] = {}
-        self.stats = {"delivered": 0, "dropped": 0}
+        self.stats = sim.metrics.stats("runtime",
+                                       {"delivered": 0, "dropped": 0})
 
     def register(self, agent: "Agent") -> None:
         self._agents[agent.name] = agent
@@ -100,7 +101,9 @@ class Agent:
         self.heartbeat_listeners: list[Callable[["Agent", float], None]] = []
         self._handlers: dict[Performative, Callable[[Message], Any]] = {}
         self._procs: list[Any] = []
-        self.stats = {"handled": 0, "sent": 0, "crashes": 0, "restarts": 0}
+        self.stats = sim.metrics.stats(
+            "agent", {"handled": 0, "sent": 0, "crashes": 0, "restarts": 0},
+            agent=name, site=site)
         runtime.register(self)
 
     # -- lifecycle ------------------------------------------------------------

@@ -44,7 +44,9 @@ class EvaluatorAgent(Agent):
         self.best_value: Optional[float] = None
         self.best_params: Optional[dict[str, Any]] = None
         self._stale = 0
-        self.eval_stats = {"evaluated": 0, "accepted": 0, "discarded": 0}
+        self.eval_stats = sim.metrics.stats(
+            "evaluator", {"evaluated": 0, "accepted": 0, "discarded": 0},
+            agent=name, site=site)
 
     def evaluate(self, outcome: ExperimentOutcome) -> dict[str, Any]:
         """Digest one outcome; returns a verdict dict.

@@ -66,7 +66,9 @@ class ExecutorAgent(Agent):
         self.synthesis_instrument = synthesis_instrument
         self.characterization = characterization
         self.objective_key = objective_key
-        self.exec_stats = {"executed": 0, "invalid": 0, "faults": 0}
+        self.exec_stats = sim.metrics.stats(
+            "executor", {"executed": 0, "invalid": 0, "faults": 0},
+            agent=name, site=site)
 
     def execute(self, plan: ExperimentPlan):
         """Generator: run one plan end-to-end; returns an outcome.

@@ -119,7 +119,8 @@ class LiteratureAgent:
         self.sim = sim
         self.literature = literature
         self.discount = discount
-        self.stats = {"papers_reviewed": 0, "claims_absorbed": 0}
+        self.stats = sim.metrics.stats(
+            "literature", {"papers_reviewed": 0, "claims_absorbed": 0})
 
     def review_into(self, optimizer, top_k: int = 10):
         """Generator: read the top papers and seed the optimizer.

@@ -57,6 +57,8 @@ class SimulatedLLM:
     ----------
     sim:
         Kernel (latency is spent on its clock).
+    site:
+        The lab this model serves; labels its ``llm.*`` counters.
     rng:
         Random stream.
     hallucination_rate:
@@ -67,7 +69,8 @@ class SimulatedLLM:
     Per-call latency is uniform over :data:`LATENCY_RANGE_S`.
     """
 
-    def __init__(self, sim: "Simulator", rng: np.random.Generator, *,
+    def __init__(self, sim: "Simulator", site: str,
+                 rng: np.random.Generator, *,
                  hallucination_rate: float = 0.25,
                  tool_error_rate: float = 0.03) -> None:
         if not 0.0 <= hallucination_rate <= 1.0:
@@ -76,7 +79,8 @@ class SimulatedLLM:
         self.rng = rng
         self.hallucination_rate = hallucination_rate
         self.tool_error_rate = tool_error_rate
-        self.stats = {"calls": 0, "tokens": 0, "hallucinations": 0}
+        self.stats = sim.metrics.stats(
+            "llm", {"calls": 0, "tokens": 0, "hallucinations": 0}, site=site)
 
     # -- plumbing -------------------------------------------------------------
 

@@ -82,8 +82,10 @@ class PlannerAgent(Agent):
         self.llm = llm
         self.mode = mode
         self.safety_envelope = dict(safety_envelope or {})
-        self.plan_stats = {"plans": 0, "llm_plans": 0, "optimizer_plans": 0,
-                           "repairs": 0}
+        self.plan_stats = sim.metrics.stats(
+            "planner",
+            {"plans": 0, "llm_plans": 0, "optimizer_plans": 0, "repairs": 0},
+            agent=name, site=site)
         self._plan_ids = itertools.count(1)
 
     def _next_plan_id(self) -> str:

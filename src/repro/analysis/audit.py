@@ -22,7 +22,7 @@ chaining politely with an installed tracer.  It counts:
 - ``audit.registry_races`` — a watched shared registry mutated by more
   than one writer within one timestep.
 
-Counters live in a :class:`repro.obs.metrics.MetricsRegistry`, so audit
+Counters live in the audited world's ``sim.metrics``, so audit
 results travel with the rest of a run's observability snapshot; bounded
 :class:`AuditFinding` records keep enough detail to locate each hazard.
 """
@@ -33,7 +33,6 @@ from collections.abc import MutableMapping
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Iterator, Optional
 
-from repro.obs.metrics import MetricsRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.kernel import Simulator
@@ -101,32 +100,27 @@ class RaceAuditor:
     Parameters
     ----------
     sim:
-        The world to audit.
-    metrics:
-        Optional shared registry; the three ``audit.*`` counters report
-        into it.
+        The world to audit; the three ``audit.*`` counters report into
+        its ``sim.metrics``.
     max_findings:
         Cap on retained :class:`AuditFinding` records (counters keep
         exact totals regardless).
 
     Usage::
 
-        auditor = RaceAuditor(sim, metrics=obs_registry)
+        auditor = RaceAuditor(sim)
         auditor.install()
         ...run the campaign...
         auditor.uninstall()
         assert not auditor.findings
     """
 
-    def __init__(self, sim: "Simulator",
-                 metrics: Optional[MetricsRegistry] = None,
-                 max_findings: int = 200) -> None:
+    def __init__(self, sim: "Simulator", max_findings: int = 200) -> None:
         self.sim = sim
-        self.metrics = metrics or MetricsRegistry()
         self.max_findings = max_findings
-        self.ties = self.metrics.counter("audit.same_time_ties")
-        self.cross_ties = self.metrics.counter("audit.cross_process_ties")
-        self.registry_races = self.metrics.counter("audit.registry_races")
+        self.ties = sim.metrics.counter("audit.same_time_ties")
+        self.cross_ties = sim.metrics.counter("audit.cross_process_ties")
+        self.registry_races = sim.metrics.counter("audit.registry_races")
         self.findings: list[AuditFinding] = []
         self._installed = False
         self._prev_step_hook: Any = None

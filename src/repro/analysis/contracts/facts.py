@@ -15,9 +15,11 @@ determinism rules (D001–D006) and the cross-module contract rules
   (``topic = "a.b"; bus.publish(..., topic, ...)``) and through
   literal-returning helper functions (``TelemetryPublisher.topic_for``),
   so the analyzer sees the topics the runtime actually emits.
-- **Metric sinks** — ``registry.counter/gauge/histogram("name")`` and
-  ``registry.stats("prefix", {...})`` declarations, each with its kind,
-  so drift and kind-collision checks can run project-wide.
+- **Metric sinks** — ``registry.counter/gauge/histogram("name")``
+  declarations and ``sim.metrics.stats("prefix", {...})`` registrations
+  of a component's plain ``stats`` dict (one fact per initial key), each
+  with its kind, so drift and kind-collision checks can run
+  project-wide.
 - **Resilience facts** — ``resilient_call(...)`` invocations (and
   whether they carry a ``deadline=``), plus syntactic retry loops
   (``while``/``for`` + swallowed ``except`` + re-iteration).

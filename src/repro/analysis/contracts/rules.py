@@ -278,9 +278,10 @@ def _check_metrics(index: ProjectIndex) -> list[Finding]:
         factory_sites = [(f, k, ln, c) for f, k, ln, c, read in sites
                          if k != "stats" and not read]
         if not factory_sites:
-            # stats() dicts are read through their StatsDict keys; the
-            # full dotted name never appears at the read site, so the
-            # drift check only covers the factory families.
+            # stats() registers a component's plain dict, read by key
+            # (``stats["sent"]``); the full dotted name never appears at
+            # the read site, so the drift check only covers the factory
+            # families.
             continue
         if any(read for *_, read in sites):
             continue        # an in-program read accessor consumes it

@@ -13,7 +13,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Optional
 
 from repro.comm.message import Envelope, Message
-from repro.obs.metrics import MetricsRegistry
 from repro.sim.resources import Store
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -178,9 +177,7 @@ class Queue:
     """
 
     def __init__(self, sim: "Simulator", name: str,
-                 max_attempts: int = 5,
-                 metrics: Optional[MetricsRegistry] = None,
-                 site: str = "") -> None:
+                 max_attempts: int = 5, site: str = "") -> None:
         if max_attempts < 1:
             raise ValueError("need max_attempts >= 1")
         self.sim = sim
@@ -189,14 +186,13 @@ class Queue:
         self._store: Store = Store(sim)
         self._unacked: dict[int, Envelope] = {}
         self.dead_letters: list[Envelope] = []
-        metrics = metrics or MetricsRegistry()
         labels = {"queue": name}
         if site:
             labels["site"] = site
-        self.stats = metrics.stats(
+        self.stats = sim.metrics.stats(
             "bus.queue",
             {"delivered": 0, "acked": 0, "nacked": 0, "dead": 0}, **labels)
-        self._depth = metrics.gauge("bus.queue.depth", **labels)
+        self._depth = sim.metrics.gauge("bus.queue.depth", **labels)
 
     def __len__(self) -> int:
         return len(self._store)
@@ -246,30 +242,28 @@ class Queue:
 class Broker:
     """A message broker hosted at one site."""
 
-    def __init__(self, sim: "Simulator", name: str, site: str,
-                 metrics: Optional[MetricsRegistry] = None) -> None:
+    def __init__(self, sim: "Simulator", name: str, site: str) -> None:
         self.sim = sim
         self.name = name
         self.site = site
         self.alive = True
-        self.metrics = metrics or MetricsRegistry()
         self.queues: dict[str, Queue] = {}
         self._bindings: list[tuple[str, str]] = []  # (pattern, queue name)
         # Compiled lazily on first route after any (re)bind or liveness
         # change; None means "rebuild before next use".
         self._index: Optional[RouteIndex] = None
-        self.stats = self.metrics.stats(
+        self.stats = sim.metrics.stats(
             "bus.broker", {"published": 0, "routed": 0, "unroutable": 0},
             broker=name, site=site)
-        self._index_hits = self.metrics.counter(
+        self._index_hits = sim.metrics.counter(
             "bus.route_index_hits", broker=name, site=site)
-        self._index_rebuilds = self.metrics.counter(
+        self._index_rebuilds = sim.metrics.counter(
             "bus.route_index_rebuilds", broker=name, site=site)
 
     def declare_queue(self, name: str, max_attempts: int = 5) -> Queue:
         if name not in self.queues:
             self.queues[name] = Queue(self.sim, name, max_attempts,
-                                      metrics=self.metrics, site=self.site)
+                                      site=self.site)
         return self.queues[name]
 
     def bind(self, queue_name: str, pattern: str) -> None:
@@ -320,8 +314,7 @@ class MessageBus:
         Optional zero-trust gateway; when present every publish/consume is
         verified (see :mod:`repro.security.zerotrust`).
 
-    Every broker and queue reports into the bus's own :attr:`metrics`
-    registry.
+    Every broker and queue reports into ``sim.metrics``.
     """
 
     def __init__(self, sim: "Simulator", network: "Network",
@@ -329,13 +322,12 @@ class MessageBus:
         self.sim = sim
         self.network = network
         self.gateway = gateway
-        self.metrics = MetricsRegistry()
         self.brokers: dict[str, Broker] = {}
 
     def add_broker(self, name: str, site: str) -> Broker:
         if name in self.brokers:
             raise ValueError(f"duplicate broker {name!r}")
-        broker = Broker(self.sim, name, site, metrics=self.metrics)
+        broker = Broker(self.sim, name, site)
         self.brokers[name] = broker
         return broker
 

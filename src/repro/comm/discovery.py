@@ -66,7 +66,9 @@ class DnsSd:
         self.site = site
         self._cache: dict[str, tuple[float, list[ServiceRecord]]] = {}
         self._watch_unsub: Optional[Callable[[], None]] = None
-        self.stats = {"announces": 0, "browses": 0, "cache_hits": 0}
+        self.stats = sim.metrics.stats(
+            "dnssd", {"announces": 0, "browses": 0, "cache_hits": 0},
+            site=site)
 
     # -- announce ------------------------------------------------------------
 

@@ -15,7 +15,6 @@ from typing import TYPE_CHECKING, Any, Optional
 
 from repro.comm.rpc import RpcClient, RpcServer, RpcTimeout, ServerDown
 from repro.net.transport import NetworkError
-from repro.obs.metrics import MetricsRegistry
 from repro.resilience import CircuitBreaker, CircuitState
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -44,7 +43,7 @@ class FailoverGroup:
     A replica's breaker trips after :data:`HEARTBEAT_MISSES` consecutive
     missed probes (for the primary, that triggers promotion) and is
     probed again after ten heartbeat intervals.  Breaker counters (trips,
-    rejections) report into the group's own :attr:`metrics` registry.
+    rejections) report into ``sim.metrics``.
     """
 
     def __init__(self, sim: "Simulator", replicas: list[RpcServer],
@@ -54,12 +53,11 @@ class FailoverGroup:
         self.sim = sim
         self.replicas = list(replicas)
         self.heartbeat_interval_s = heartbeat_interval_s
-        self.metrics = MetricsRegistry()
         self.breakers = {
             replica.name: CircuitBreaker(
                 sim, failure_threshold=HEARTBEAT_MISSES,
                 recovery_time_s=10.0 * heartbeat_interval_s,
-                name=f"failover.{replica.name}", metrics=self.metrics)
+                name=f"failover.{replica.name}")
             for replica in self.replicas}
         self._primary_idx = 0
         self.events: list[tuple[float, str, str]] = []

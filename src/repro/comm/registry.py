@@ -82,7 +82,9 @@ class ServiceRegistry:
         self.sim = sim
         self._records: dict[str, ServiceRecord] = {}
         self._watchers: list[tuple[Optional[str], Callable[[str, ServiceRecord], None]]] = []
-        self.stats = {"registers": 0, "lookups": 0, "expirations": 0}
+        self.stats = sim.metrics.stats(
+            "service_registry",
+            {"registers": 0, "lookups": 0, "expirations": 0})
 
     # -- mutation ---------------------------------------------------------------
 

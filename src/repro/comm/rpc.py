@@ -21,7 +21,6 @@ from typing import TYPE_CHECKING, Any, Callable, Optional
 from repro.comm.message import Envelope, Message, Performative
 from repro.comm.serialization import estimate_size
 from repro.net.transport import NetworkError
-from repro.obs.metrics import MetricsRegistry
 from repro.resilience import (Deadline, DeadlineExceeded, RetriesExhausted,
                               RetryPolicy, resilient_call)
 
@@ -64,7 +63,9 @@ class RpcServer:
         self.handler_delay_s = handler_delay_s
         self.alive = True
         self._methods: dict[str, Callable[..., Any]] = {}
-        self.stats = {"calls": 0, "errors": 0}
+        self.stats = sim.metrics.stats("rpc.server",
+                                       {"calls": 0, "errors": 0},
+                                       name=name, site=site)
 
     def register(self, method: str, handler: Callable[..., Any]) -> None:
         self._methods[method] = handler
@@ -125,10 +126,10 @@ class RpcClient:
     token:
         Credential attached to every call (may be refreshed at any time by
         assigning to :attr:`token`).
-    metrics:
-        Optional shared :class:`~repro.obs.metrics.MetricsRegistry`; call
-        counters and the per-site ``rpc.call_latency`` histogram report
-        into it (E4 reads its p50/p95/p99 straight from the registry).
+
+    Call counters and the per-site ``rpc.call_latency`` histogram report
+    into ``sim.metrics`` (E4 reads its p50/p95/p99 straight from the
+    registry).
 
     Notes
     -----
@@ -139,21 +140,19 @@ class RpcClient:
 
     def __init__(self, sim: "Simulator", network: "Network", site: str,
                  identity: str = "client", gateway: Any = None,
-                 token: Optional[str] = None,
-                 metrics: Optional[MetricsRegistry] = None) -> None:
+                 token: Optional[str] = None) -> None:
         self.sim = sim
         self.network = network
         self.site = site
         self.identity = identity
         self.gateway = gateway
         self.token = token
-        self.metrics = metrics or MetricsRegistry()
-        self.stats = self.metrics.stats(
+        self.stats = sim.metrics.stats(
             "rpc.client",
             {"calls": 0, "retries": 0, "timeouts": 0,
              "failures": 0, "total_latency": 0.0}, site=site)
-        self.latency_hist = self.metrics.histogram("rpc.call_latency",
-                                                   site=site)
+        self.latency_hist = sim.metrics.histogram("rpc.call_latency",
+                                                  site=site)
         self.latencies: list[float] = []
         self._call_ids = itertools.count(1)
 
@@ -182,7 +181,6 @@ class RpcClient:
                 policy=policy, deadline=deadline,
                 retry_on=(NetworkError, ServerDown),
                 name=f"rpc.{server.name}.{method}",
-                metrics=self.metrics,
                 on_retry=on_retry)
         except DeadlineExceeded:
             self.stats["timeouts"] += 1
@@ -252,7 +250,6 @@ class RpcClient:
                 self.sim, attempt, policy=policy,
                 retry_on=retry_exceptions,
                 name=f"rpc.{server.name}.{method}.outer",
-                metrics=self.metrics,
                 on_retry=on_retry)
         except RetriesExhausted as exc:
             if exc.last_error is not None:

@@ -29,7 +29,6 @@ from repro.agents.executor import ExecutorAgent, ExperimentOutcome
 from repro.agents.planner import ExperimentPlan
 from repro.instruments.base import Instrument, InstrumentStatus
 from repro.instruments.errors import InstrumentFault
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_TRACER
 from repro.resilience import (CircuitBreaker, RetriesExhausted, RetryPolicy,
                               resilient_call)
@@ -59,9 +58,6 @@ class FaultTolerantExecutor:
         characterization instrument, typically).
     alternates:
         Executors at other sites that can run the same plan.
-    metrics:
-        Optional shared :class:`~repro.obs.metrics.MetricsRegistry` the
-        fault-handling counters and repair-time histogram report into.
     tracer:
         Optional tracer; attempts run inside ``resilience.attempt`` spans.
 
@@ -69,30 +65,29 @@ class FaultTolerantExecutor:
     breaker guards the primary route (two consecutive primary faults
     quarantine it for :data:`BREAKER_RECOVERY_S`); it is only consulted
     when alternates exist — with a single route there is nothing to
-    re-route to.
+    re-route to.  The fault-handling counters and the repair-time
+    histogram report into ``sim.metrics``.
     """
 
     def __init__(self, sim: "Simulator", primary: ExecutorAgent,
                  primary_instruments: Optional[list[Instrument]] = None,
                  alternates: Optional[list[ExecutorAgent]] = None,
-                 metrics: Optional[MetricsRegistry] = None,
                  tracer=NULL_TRACER) -> None:
         self.sim = sim
         self.primary = primary
         self.primary_instruments = list(primary_instruments or [])
         self.alternates = list(alternates or [])
-        self.metrics = metrics or MetricsRegistry()
         self.tracer = tracer
         self.retry_policy = RetryPolicy.immediate(MAX_ATTEMPTS)
         self.breaker = CircuitBreaker(
             sim, failure_threshold=2, recovery_time_s=BREAKER_RECOVERY_S,
-            name=f"faulttol.{primary.site}", metrics=self.metrics)
-        self.stats = self.metrics.stats(
+            name=f"faulttol.{primary.site}")
+        self.stats = sim.metrics.stats(
             "faulttol",
             {"attempts": 0, "faults_handled": 0, "repairs": 0,
              "failovers": 0, "gave_up": 0}, site=primary.site)
-        self.repair_hist = self.metrics.histogram("faulttol.repair_time",
-                                                  site=primary.site)
+        self.repair_hist = sim.metrics.histogram("faulttol.repair_time",
+                                                 site=primary.site)
         self.events: list[tuple[float, str, str]] = []
         self._repairing: set[str] = set()
 
@@ -170,7 +165,7 @@ class FaultTolerantExecutor:
                 retry_on=(InstrumentFault,),
                 recover=self._recover,
                 name=f"faulttol.{self.primary.site}",
-                tracer=self.tracer, metrics=self.metrics)
+                tracer=self.tracer)
         except RetriesExhausted as exc:
             self.stats["gave_up"] += 1
             raise (exc.last_error

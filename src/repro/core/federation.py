@@ -35,7 +35,6 @@ from repro.instruments.vendors import VENDOR_DIALECTS, make_vendor_protocol
 from repro.labsci.landscapes import Landscape
 from repro.methods.nested import NestedBayesianOptimizer
 from repro.net.faults import FaultInjector
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.net.topology import Topology
 from repro.net.transport import Network
@@ -120,10 +119,6 @@ class FederationManager:
         :class:`~repro.data.mesh.DiscoveryIndex`; a positive count backs
         it with a :class:`~repro.data.shard.ShardedDiscoveryIndex` of
         that many facility-routed shards (the 1000-lab configuration).
-    metrics:
-        Optional shared :class:`~repro.obs.metrics.MetricsRegistry`; one
-        is created when omitted so ``fed.metrics`` always sees the whole
-        federation (transport, HAL, fault tolerance, campaigns).
     tracer:
         Optional :class:`~repro.obs.trace.Tracer` threaded into every
         orchestrator built by :meth:`make_orchestrator` (no-op default).
@@ -133,21 +128,18 @@ class FederationManager:
                  objective_key: str = "plqy", secure: bool = False,
                  with_mesh: bool = False,
                  mesh_shards: Optional[int] = None,
-                 metrics: Optional[MetricsRegistry] = None,
                  tracer: Optional[Tracer] = None,
                  sim: Optional[Simulator] = None) -> None:
         self.sim = sim if sim is not None else Simulator()
         self.rngs = RngRegistry(seed)
         self.objective_key = objective_key
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.metrics = self.sim.metrics
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.topology = Topology.national_lab_testbed(n_sites)
         self.faults = FaultInjector(self.sim)
-        self.chaos = ChaosController(self.sim, self.faults,
-                                     rngs=self.rngs, metrics=self.metrics)
+        self.chaos = ChaosController(self.sim, self.faults, rngs=self.rngs)
         self.network = Network(self.sim, self.topology,
-                               self.rngs.stream("net"), self.faults,
-                               metrics=self.metrics)
+                               self.rngs.stream("net"), self.faults)
         self.runtime = AgentRuntime(self.sim, self.network)
         self.registry = ServiceRegistry(self.sim)
         self.labs: dict[str, LabSite] = {}
@@ -201,7 +193,7 @@ class FederationManager:
         forbidden = list(DEFAULT_FORBIDDEN)
 
         # Instruments behind a vendor protocol + HAL (M1).
-        hal = HardwareAbstractionLayer(metrics=self.metrics)
+        hal = HardwareAbstractionLayer()
         if synthesis_kind == "flow":
             synthesis = FluidicReactor(
                 self.sim, f"reactor.{site_name}", site_name, self.rngs,
@@ -238,7 +230,8 @@ class FederationManager:
         else:
             optimizer = optimizer_factory(
                 search_space, self.rngs.stream(f"opt/{site_name}"))
-        llm = SimulatedLLM(self.sim, self.rngs.stream(f"llm/{site_name}"),
+        llm = SimulatedLLM(self.sim, site_name,
+                           self.rngs.stream(f"llm/{site_name}"),
                            hallucination_rate=hallucination_rate)
         planner = PlannerAgent(self.sim, f"planner.{site_name}", site_name,
                                self.runtime, optimizer, llm,
@@ -273,7 +266,7 @@ class FederationManager:
             safety_envelope=lab.twin.safety_envelope,
             forbidden_combinations=lab.twin.forbidden_combinations,
             outcome_bounds={"objective": (0.0, 1.0)})
-        return VerificationStack(self.sim, [
+        return VerificationStack(self.sim, lab.name, [
             physics,
             TwinVerifier(lab.twin, objective_key=self.objective_key),
         ])
@@ -290,12 +283,12 @@ class FederationManager:
                 self.sim, lab.executor,
                 primary_instruments=lab.instruments(),
                 alternates=[alt.executor for alt in (alternates or [])],
-                metrics=self.metrics, tracer=self.tracer)
+                tracer=self.tracer)
         return HierarchicalOrchestrator(
             self.sim, lab.planner, lab.executor, lab.evaluator,
             verification=verification, knowledge=knowledge,
             fault_tolerant=ft, mesh_node=lab.mesh_node,
-            tracer=self.tracer, metrics=self.metrics)
+            tracer=self.tracer)
 
     def make_manual(self, lab: LabSite, **kw: Any) -> ManualOrchestrator:
         return ManualOrchestrator(self.sim, lab.planner, lab.executor,

@@ -78,8 +78,9 @@ class KnowledgeBase:
         self.network = network
         self.policy = policy
         self.nodes: dict[str, KnowledgeNode] = {}
-        self.stats = {"published": 0, "propagated": 0, "absorbed": 0,
-                      "lost": 0}
+        self.stats = sim.metrics.stats(
+            "knowledge",
+            {"published": 0, "propagated": 0, "absorbed": 0, "lost": 0})
 
     def register(self, site: str, optimizer,
                  space: "ParameterSpace") -> KnowledgeNode:

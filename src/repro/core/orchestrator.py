@@ -31,7 +31,6 @@ from repro.obs.trace import NULL_TRACER
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.faulttol import FaultTolerantExecutor
     from repro.data.mesh import DataMeshNode
-    from repro.obs.metrics import MetricsRegistry
     from repro.obs.trace import Tracer
     from repro.sim.kernel import Simulator
 
@@ -64,10 +63,9 @@ class HierarchicalOrchestrator:
         a span tree (campaign > experiment > plan/verify/execute/evaluate)
         replayable from the JSON-lines export.  Defaults to the no-op
         tracer, which costs ~nothing.
-    metrics:
-        Optional :class:`~repro.obs.metrics.MetricsRegistry`; campaign
-        counters and the per-site experiment-duration histogram report
-        into it.
+
+    Campaign counters and the per-site experiment-duration histogram
+    report into ``sim.metrics``.
     """
 
     def __init__(self, sim: "Simulator", planner: PlannerAgent,
@@ -76,8 +74,7 @@ class HierarchicalOrchestrator:
                  knowledge: Optional[KnowledgeBase] = None,
                  fault_tolerant: Optional["FaultTolerantExecutor"] = None,
                  mesh_node: Optional["DataMeshNode"] = None,
-                 tracer: Optional["Tracer"] = None,
-                 metrics: Optional["MetricsRegistry"] = None) -> None:
+                 tracer: Optional["Tracer"] = None) -> None:
         self.sim = sim
         self.planner = planner
         self.executor = executor
@@ -88,14 +85,12 @@ class HierarchicalOrchestrator:
         self.mesh_node = mesh_node
         self.site = executor.site
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.metrics = metrics
-        if metrics is not None:
-            self._n_experiments = metrics.counter("campaign.experiments",
+        self._n_experiments = sim.metrics.counter("campaign.experiments",
                                                   site=self.site)
-            self._n_skipped = metrics.counter("campaign.skipped_plans",
+        self._n_skipped = sim.metrics.counter("campaign.skipped_plans",
                                               site=self.site)
-            self._duration_hist = metrics.histogram(
-                "campaign.experiment_duration", site=self.site)
+        self._duration_hist = sim.metrics.histogram(
+            "campaign.experiment_duration", site=self.site)
 
     # -- the loop ---------------------------------------------------------------
 
@@ -158,8 +153,7 @@ class HierarchicalOrchestrator:
         result.best_params = self.evaluator.best_params
         result.stop_reason = stop_reason
         result.counters = self._counters(skipped_plans)
-        if self.metrics is not None:
-            self._n_skipped.inc(skipped_plans)
+        self._n_skipped.inc(skipped_plans)
         tracer.instant("campaign-finished", stop_reason=stop_reason,
                        experiments=result.n_experiments)
         return result
@@ -188,9 +182,8 @@ class HierarchicalOrchestrator:
 
     def _record(self, result: CampaignResult,
                 outcome: ExperimentOutcome) -> None:
-        if self.metrics is not None:
-            self._n_experiments.inc()
-            self._duration_hist.observe(outcome.finished - outcome.started)
+        self._n_experiments.inc()
+        self._duration_hist.observe(outcome.finished - outcome.started)
         result.records.append(ExperimentRecord(
             index=len(result.records), params=dict(outcome.plan.params),
             valid=outcome.valid, objective=outcome.objective,

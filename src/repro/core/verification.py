@@ -178,13 +178,18 @@ class VerificationStack:
 
     Instantaneous verifiers (``check``) run first; time-bearing verifiers
     (``validate`` generators) only run on plans that survive them —
-    cheap-first ordering keeps verification latency low.
+    cheap-first ordering keeps verification latency low.  ``site`` is
+    the lab whose plans the stack checks; it labels the
+    ``verification.*`` counters.
     """
 
-    def __init__(self, sim: "Simulator", verifiers: list[Any]) -> None:
+    def __init__(self, sim: "Simulator", site: str,
+                 verifiers: list[Any]) -> None:
         self.sim = sim
         self.verifiers = list(verifiers)
-        self.stats = {"plans": 0, "rejected": 0, "time_spent": 0.0}
+        self.stats = sim.metrics.stats(
+            "verification", {"plans": 0, "rejected": 0, "time_spent": 0.0},
+            site=site)
 
     def verify(self, plan: ExperimentPlan):
         """Generator: run the stack; returns a VerificationResult."""

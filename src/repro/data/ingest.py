@@ -33,7 +33,8 @@ class TelemetryPublisher:
         self.broker = broker
         self.site = site
         self.token = token
-        self.stats = {"published": 0, "failed": 0}
+        self.stats = sim.metrics.stats(
+            "ingest.publisher", {"published": 0, "failed": 0}, site=site)
 
     @staticmethod
     def topic_for(measurement: Measurement) -> str:
@@ -81,7 +82,8 @@ class MeshIngestor:
         self.institution = institution
         self.stream = stream
         self.token = token
-        self.stats = {"consumed": 0, "malformed": 0}
+        self.stats = sim.metrics.stats(
+            "ingest.consumer", {"consumed": 0, "malformed": 0}, site=site)
         self._proc = None
 
     def start(self) -> None:

@@ -218,7 +218,8 @@ class DataMeshNode:
         self.provenance = ProvenanceGraph()
         self.index_latency_s = index_latency_s
         self._records: dict[str, DataRecord] = {}
-        self.stats = {"ingested": 0, "served": 0, "denied": 0}
+        self.stats = sim.metrics.stats(
+            "mesh.node", {"ingested": 0, "served": 0, "denied": 0}, site=site)
 
     # -- ingest -----------------------------------------------------------------
 

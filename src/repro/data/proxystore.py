@@ -59,8 +59,10 @@ class ProxyStore:
         self._cache: dict[str, Any] = {}
         peers[site] = self
         self._peers = peers
-        self.stats = {"puts": 0, "local_hits": 0, "cache_hits": 0,
-                      "remote_fetches": 0, "bytes_fetched": 0.0}
+        self.stats = sim.metrics.stats(
+            "proxystore", {"puts": 0, "local_hits": 0, "cache_hits": 0,
+                           "remote_fetches": 0, "bytes_fetched": 0.0},
+            site=site)
 
     def put(self, obj: Any) -> Proxy:
         """Store an object locally; returns its proxy."""

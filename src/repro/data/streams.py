@@ -64,9 +64,9 @@ class StreamProcessor:
         self.on_alert = on_alert
         self.queue: Store = Store(sim)
         self.retained: list[DataRecord] = []
-        self.stats = {"processed": 0, "retained": 0, "reduced": 0,
-                      "alerts": 0, "max_backlog": 0,
-                      "busy_time": 0.0}
+        self.stats = sim.metrics.stats(
+            "stream", {"processed": 0, "retained": 0, "reduced": 0,
+                       "alerts": 0, "max_backlog": 0, "busy_time": 0.0})
         self._routine_counter = 0
         self._running = False
 

@@ -58,8 +58,9 @@ class OperatorOverride:
         self.safety_envelope = dict(safety_envelope or {})
         self.detection_skill = detection_skill
         self.review_time_s = review_time_s
-        self.stats = {"presented": 0, "reviewed": 0, "vetoed": 0,
-                      "missed_unsafe": 0}
+        self.stats = sim.metrics.stats(
+            "hitl.override", {"presented": 0, "reviewed": 0, "vetoed": 0,
+                              "missed_unsafe": 0})
 
     def _looks_unsafe(self, plan: ExperimentPlan) -> bool:
         for key, (lo, hi) in self.safety_envelope.items():

@@ -123,8 +123,10 @@ class Instrument:
         self.status = InstrumentStatus.IDLE
         self.duty = Resource(sim, capacity=1)
         self.operating_hours = 0.0
-        self.stats = {"operations": 0, "faults": 0, "repairs": 0,
-                      "busy_time": 0.0, "rejected": 0}
+        self.stats = sim.metrics.stats(
+            "instrument", {"operations": 0, "faults": 0, "repairs": 0,
+                           "busy_time": 0.0, "rejected": 0},
+            name=name, site=site)
 
     def next_measurement_id(self) -> str:
         """Mint a world-scoped measurement id (same-seed worlds agree)."""

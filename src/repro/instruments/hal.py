@@ -10,22 +10,19 @@ agents never see vendor differences — the mechanism E6 evaluates.
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any
 
 from repro.instruments.base import OperationRequest
 from repro.instruments.errors import VendorError
 from repro.instruments.vendors import VendorProtocol
-from repro.obs.metrics import MetricsRegistry
 
 
 class HalAdapter:
     """Canonical-to-native translator for one instrument endpoint."""
 
-    def __init__(self, protocol: VendorProtocol,
-                 metrics: Optional[MetricsRegistry] = None) -> None:
+    def __init__(self, protocol: VendorProtocol) -> None:
         self.protocol = protocol
-        metrics = metrics or MetricsRegistry()
-        self.stats = metrics.stats(
+        self.stats = protocol.instrument.sim.metrics.stats(
             "hal.adapter", {"requests": 0, "unsupported": 0},
             instrument=self.instrument_name, vendor=self.vendor,
             site=protocol.instrument.site)
@@ -66,13 +63,12 @@ class HardwareAbstractionLayer:
     owns the vendor mess.
     """
 
-    def __init__(self, metrics: Optional[MetricsRegistry] = None) -> None:
-        self.metrics = metrics or MetricsRegistry()
+    def __init__(self) -> None:
         self._adapters: dict[str, HalAdapter] = {}
 
     def register(self, protocol: VendorProtocol) -> HalAdapter:
         """Wrap a vendor endpoint and make it addressable by name."""
-        adapter = HalAdapter(protocol, metrics=self.metrics)
+        adapter = HalAdapter(protocol)
         name = adapter.instrument_name
         if name in self._adapters:
             raise ValueError(f"instrument {name!r} already registered")

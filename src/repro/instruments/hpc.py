@@ -63,7 +63,9 @@ class HpcCluster:
         self.n_nodes = n_nodes
         self.model_bias = model_bias
         self.model_noise = model_noise
-        self.stats = {"jobs": 0, "node_seconds": 0.0, "queue_wait": 0.0}
+        self.stats = sim.metrics.stats(
+            "hpc", {"jobs": 0, "node_seconds": 0.0, "queue_wait": 0.0},
+            name=name, site=site)
 
     @property
     def utilization_nodes(self) -> int:

@@ -12,7 +12,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.instruments.base import Instrument, InstrumentStatus
-from repro.obs.metrics import MetricsRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.kernel import Simulator
@@ -32,8 +31,8 @@ class MaintenanceAgent:
         QA sweep period.
 
     Recalibration is dispatched once an instrument's absolute drift
-    exceeds :data:`BIAS_TOLERANCE`.  The public :attr:`stats` mapping is
-    a view over the agent's own :attr:`metrics` registry.
+    exceeds :data:`BIAS_TOLERANCE`.  The public :attr:`stats` dict is
+    registered into ``sim.metrics``.
     """
 
     def __init__(self, sim: "Simulator", *,
@@ -43,8 +42,7 @@ class MaintenanceAgent:
         self._fleet: list[Instrument] = []
         self._in_progress: set[str] = set()
         self.events: list[tuple[float, str, str]] = []
-        self.metrics = MetricsRegistry()
-        self.stats = self.metrics.stats(
+        self.stats = sim.metrics.stats(
             "maintenance", {"sweeps": 0, "calibrations": 0})
         self._proc = None
 

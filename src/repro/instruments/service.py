@@ -55,7 +55,9 @@ class InstrumentService:
         self.server = RpcServer(sim, self.name, site)
         self.server.register("execute", self._handle_execute)
         self.server.register("inventory", self._handle_inventory)
-        self.stats = {"executions": 0, "errors": 0}
+        self.stats = sim.metrics.stats("instrument_service",
+                                       {"executions": 0, "errors": 0},
+                                       site=site)
 
     # -- handlers -------------------------------------------------------------
 

@@ -48,10 +48,9 @@ class Network:
         Optional :class:`FaultInjector`; when omitted a private, quiet one
         is created.
     metrics:
-        Optional shared :class:`~repro.obs.metrics.MetricsRegistry`; the
-        transfer counters and the ``net.transfer_latency`` histogram land
-        there (a private registry is created when omitted, keeping the
-        ``stats`` API identical either way).
+        The registry the transfer counters and the
+        ``net.transfer_latency`` histogram land in; ``sim.metrics`` when
+        omitted.
 
     Notes
     -----
@@ -76,12 +75,12 @@ class Network:
         self.topology = topology
         self.rng = rng
         self.faults = faults or FaultInjector(sim)
-        self.metrics = metrics or MetricsRegistry()
-        self.stats = self.metrics.stats("net", {
+        metrics = metrics if metrics is not None else sim.metrics
+        self.stats = metrics.stats("net", {
             "transfers": 0, "bytes": 0.0, "lost": 0, "unreachable": 0,
             "total_latency": 0.0,
         })
-        self.latency_hist = self.metrics.histogram("net.transfer_latency")
+        self.latency_hist = metrics.histogram("net.transfer_latency")
 
     # -- path/latency computation -------------------------------------------
 

@@ -12,7 +12,8 @@ This package provides that instrumentation layer:
   traces.
 - :mod:`repro.obs.metrics` — a :class:`~repro.obs.metrics.MetricsRegistry`
   of counters, gauges, and streaming histograms (p50/p95/p99 without
-  storing samples) that absorbs the per-component ``stats`` dicts.
+  storing samples) that reads every component's ``stats`` dict; each
+  world has one, on ``sim.metrics``.
 - :mod:`repro.obs.export` — JSON-lines trace export and per-site metrics
   snapshots used by the benchmarks.
 
@@ -22,8 +23,7 @@ orchestrator's default tracer is the no-op :data:`NULL_TRACER`.
 
 from repro.obs.export import (TraceSpillWriter, load_jsonl, metrics_snapshot,
                               to_jsonl, write_jsonl)
-from repro.obs.metrics import (Counter, Gauge, Histogram, MetricsRegistry,
-                               StatsDict)
+from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.rollup import WindowedCounter
 from repro.obs.trace import NULL_TRACER, NullTracer, TraceEvent, Tracer
 
@@ -34,7 +34,6 @@ __all__ = [
     "MetricsRegistry",
     "NULL_TRACER",
     "NullTracer",
-    "StatsDict",
     "TraceEvent",
     "TraceSpillWriter",
     "Tracer",

@@ -1,10 +1,10 @@
 """Counters, gauges, and streaming histograms for every AISLE layer.
 
-A single :class:`MetricsRegistry` replaces the ad-hoc per-component
-``stats`` dicts that used to live in the message bus, the WAN transport,
-the fault-tolerance stack, and the HAL.  Components keep their public
-``.stats`` mapping API via :class:`StatsDict`, a dict-compatible view
-whose values live in registry counters — so one registry sees the whole
+Every simulated world has exactly one :class:`MetricsRegistry`, owned by
+the kernel as ``sim.metrics``.  Components that hold a ``sim`` register
+their public ``.stats`` mapping — a plain ``dict`` — once, in their
+constructor, through :meth:`MetricsRegistry.stats`; the registry reads
+those dicts whenever it is snapshotted, so one registry sees the whole
 federation and the benchmarks can snapshot it per site.
 
 Histograms are *streaming*: fixed geometric buckets give p50/p95/p99
@@ -15,8 +15,7 @@ million-transfer campaign costs O(buckets), not O(samples).
 from __future__ import annotations
 
 import math
-from collections.abc import MutableMapping
-from typing import Any, Iterator, Optional
+from typing import Any, Optional
 
 LabelKey = tuple[tuple[str, str], ...]
 
@@ -208,60 +207,20 @@ def render_name(name: str, labels: LabelKey) -> str:
     return f"{name}{{{inner}}}"
 
 
-class StatsDict(MutableMapping):
-    """A component's ``stats`` mapping, backed by registry counters.
-
-    Behaves exactly like the plain dicts it replaces — ``stats["x"] += 1``,
-    ``dict(stats)``, equality against dicts — while every value lives in a
-    shared :class:`MetricsRegistry`, visible to snapshots and benchmarks.
-    """
-
-    __slots__ = ("_counters",)
-
-    def __init__(self, counters: dict[str, Counter]) -> None:
-        self._counters = counters
-
-    def __getitem__(self, key: str) -> float:
-        return self._counters[key].value
-
-    def __setitem__(self, key: str, value: float) -> None:
-        self._counters[key].value = value
-
-    def __delitem__(self, key: str) -> None:
-        raise TypeError("stats keys are fixed at construction")
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._counters)
-
-    def __len__(self) -> int:
-        return len(self._counters)
-
-    def __eq__(self, other: Any) -> bool:
-        if isinstance(other, (dict, StatsDict)):
-            return dict(self) == dict(other)
-        return NotImplemented
-
-    def __ne__(self, other: Any) -> bool:
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"StatsDict({dict(self)!r})"
-
-
 class MetricsRegistry:
     """Get-or-create registry of every metric in one simulated world.
 
     Metrics are keyed by ``(name, sorted labels)``; asking twice returns
-    the same object, so components wired to a shared registry aggregate
-    naturally.  Components built without one create a private registry —
-    their ``.stats`` API is unchanged either way.
+    the same object, so components in one world aggregate naturally.
+    Registered ``stats`` dicts stay owned by their component: each keeps
+    its own tally, and the registry folds them in as counters when read.
     """
 
     def __init__(self) -> None:
         self._counters: dict[tuple[str, LabelKey], Counter] = {}
         self._gauges: dict[tuple[str, LabelKey], Gauge] = {}
         self._histograms: dict[tuple[str, LabelKey], Histogram] = {}
+        self._stats: list[tuple[str, LabelKey, dict[str, float]]] = []
 
     # -- factories ---------------------------------------------------------
 
@@ -289,22 +248,29 @@ class MetricsRegistry:
         return h
 
     def stats(self, prefix: str, initial: dict[str, float],
-              **labels: Any) -> StatsDict:
-        """A :class:`StatsDict` over counters ``prefix.<key>``.
+              **labels: Any) -> dict[str, float]:
+        """A component's plain ``stats`` dict, read as counters.
 
-        ``initial`` gives the key set and starting values (fresh counters
-        only — re-binding to existing counters keeps their tallies).
+        Returns a fresh dict holding ``initial``; every key in it —
+        including keys the component adds later — appears in
+        :meth:`snapshot` and :meth:`state` as counter ``prefix.<key>``
+        with ``labels``.  Dicts registered under the same prefix and
+        labels each keep their own tally; the registry reports the sum.
         """
-        counters = {}
-        for key, value in initial.items():
-            full = f"{prefix}.{key}"
-            lk = (full, _label_key(labels))
-            fresh = lk not in self._counters
-            c = self.counter(full, **labels)
-            if fresh:
-                c.value = value
-            counters[key] = c
-        return StatsDict(counters)
+        counters = dict(initial)
+        self._stats.append((prefix, _label_key(labels), counters))
+        return counters
+
+    def _counter_values(self) -> dict[tuple[str, LabelKey], float]:
+        """Every counter's value, registered ``stats`` dicts folded in."""
+        values = {key: c.value for key, c in self._counters.items()}
+        for prefix, labels, counters in self._stats:
+            for key, value in counters.items():
+                full = (f"{prefix}.{key}", labels)
+                if full in values:
+                    value += values[full]
+                values[full] = value
+        return values
 
     # -- introspection -----------------------------------------------------
 
@@ -321,8 +287,7 @@ class MetricsRegistry:
         benchmarks and :func:`repro.obs.export.metrics_snapshot` consume.
         """
         return {
-            "counters": {n: c.value
-                         for n, c in self._selected(self._counters, site)},
+            "counters": dict(self._selected(self._counter_values(), site)),
             "gauges": {n: g.value
                        for n, g in self._selected(self._gauges, site)},
             "histograms": {n: h.summary()
@@ -342,9 +307,9 @@ class MetricsRegistry:
         share.
         """
         return {
-            "counters": [[name, [list(kv) for kv in labels], c.value]
-                         for (name, labels), c in
-                         sorted(self._counters.items())],
+            "counters": [[name, [list(kv) for kv in labels], value]
+                         for (name, labels), value in
+                         sorted(self._counter_values().items())],
             "gauges": [[name, [list(kv) for kv in labels], g.value]
                        for (name, labels), g in sorted(self._gauges.items())],
             "histograms": [[name, [list(kv) for kv in labels],

@@ -105,9 +105,10 @@ class Tracer:
         ``write(event)`` method.  With a spill attached the full trace
         survives on disk even when the in-memory ring truncates.
     metrics:
-        Optional registry; ring evictions increment
-        ``obs.dropped_events`` (no spill) or ``obs.spilled_events``
-        (spill attached), so truncation is visible in every snapshot.
+        The registry (``sim.metrics`` when omitted) in which ring
+        evictions increment ``obs.dropped_events`` (no spill) and spilled
+        events ``obs.spilled_events``, so truncation is visible in every
+        snapshot.
     """
 
     def __init__(self, sim: "Simulator", run_id: str = "run", *,
@@ -127,7 +128,7 @@ class Tracer:
             [] if max_events is None else deque())
         self.dropped = 0
         self.spilled = 0
-        self.metrics = metrics
+        self.metrics = metrics if metrics is not None else sim.metrics
         self._seq = 0
         self._next_span = 1
         self._stack: list[int] = []
@@ -150,15 +151,13 @@ class Tracer:
         if self.spill is not None:
             self.spill.write(ev)
             self.spilled += 1
-            if self.metrics is not None:
-                self.metrics.counter("obs.spilled_events").inc()
+            self.metrics.counter("obs.spilled_events").inc()
         if self.max_events is not None and len(self.events) >= self.max_events:
             self.events.popleft()
             if self.spill is None:
                 # The event is gone for good — count it, loudly.
                 self.dropped += 1
-                if self.metrics is not None:
-                    self.metrics.counter("obs.dropped_events").inc()
+                self.metrics.counter("obs.dropped_events").inc()
         self.events.append(ev)
         return ev
 

@@ -4,17 +4,16 @@ One generator wraps any sim-process callable with the whole reliability
 vocabulary — :class:`~repro.resilience.policy.RetryPolicy` backoff,
 cumulative :class:`~repro.resilience.policy.Deadline` accounting,
 :class:`~repro.resilience.policy.CircuitBreaker` admission, per-attempt
-tracing spans, and registry counters.  The RPC client, the fault-tolerant
-executor, and any future chaos experiment all run their attempts through
-this single loop, so retry semantics (and their observability) cannot
-drift apart again.
+tracing spans, and ``sim.metrics`` counters.  The RPC client, the
+fault-tolerant executor, and any future chaos experiment all run their
+attempts through this single loop, so retry semantics (and their
+observability) cannot drift apart again.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Callable, Generator, Optional
 
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_TRACER
 from repro.resilience.policy import (CircuitBreaker, CircuitOpen, Deadline,
                                      RetryPolicy)
@@ -55,7 +54,6 @@ def resilient_call(sim: "Simulator",
                    retry_on: tuple = (Exception,),
                    name: str = "call",
                    tracer: Any = NULL_TRACER,
-                   metrics: Optional[MetricsRegistry] = None,
                    on_retry: Optional[Callable[[int, BaseException],
                                                Any]] = None,
                    recover: Optional[Callable[[BaseException, int],
@@ -84,10 +82,10 @@ def resilient_call(sim: "Simulator",
     retry_on:
         Exception types that consume an attempt and trigger a retry.
         Anything else propagates immediately.
-    name / tracer / metrics:
+    name / tracer:
         Observability: each attempt runs inside a ``resilience.attempt``
-        span, and the registry (when given) accumulates
-        ``resilience.call.*`` counters labelled with ``call=name``.
+        span, and ``sim.metrics`` accumulates ``resilience.call.*``
+        counters labelled with ``call=name``.
     on_retry:
         Plain callback ``(next_attempt, last_error)`` fired before each
         retry — the hook call sites use to keep their public ``stats``
@@ -106,13 +104,11 @@ def resilient_call(sim: "Simulator",
     CircuitOpen
         The breaker rejected the call.
     """
-    counters = None
-    if metrics is not None:
-        counters = {key: metrics.counter(f"resilience.call.{key}", call=name)
-                    for key in ("calls", "attempts", "retries", "successes",
-                                "failures", "deadline_exceeded",
-                                "breaker_rejected")}
-        counters["calls"].inc()
+    counters = {key: sim.metrics.counter(f"resilience.call.{key}", call=name)
+                for key in ("calls", "attempts", "retries", "successes",
+                            "failures", "deadline_exceeded",
+                            "breaker_rejected")}
+    counters["calls"].inc()
 
     attempts = 0
     last_exc: Optional[BaseException] = None
@@ -122,8 +118,7 @@ def resilient_call(sim: "Simulator",
         if attempts > 1:
             if on_retry is not None:
                 on_retry(attempts, last_exc)
-            if counters is not None:
-                counters["retries"].inc()
+            counters["retries"].inc()
             if recover is not None:
                 yield from recover(last_exc, attempts)
             pause = policy.delay(attempts - 1)
@@ -134,11 +129,9 @@ def resilient_call(sim: "Simulator",
             if deadline is not None and deadline.expired:
                 break
         if breaker is not None and not breaker.allow():
-            if counters is not None:
-                counters["breaker_rejected"].inc()
+            counters["breaker_rejected"].inc()
             raise CircuitOpen(f"{name}: breaker {breaker.name!r} is open")
-        if counters is not None:
-            counters["attempts"].inc()
+        counters["attempts"].inc()
         with tracer.span("resilience.attempt", call=name, attempt=attempts):
             if deadline is not None and deadline.finite:
                 work = sim.process(attempt(attempts))
@@ -158,8 +151,7 @@ def resilient_call(sim: "Simulator",
                         if work.callbacks is not None:
                             work.callbacks.append(
                                 lambda ev: setattr(ev, "_defused", True))
-                    if counters is not None:
-                        counters["deadline_exceeded"].inc()
+                    counters["deadline_exceeded"].inc()
                     raise DeadlineExceeded(
                         f"{name} deadline after attempt {attempts}")
                 result = fired[work]
@@ -173,9 +165,7 @@ def resilient_call(sim: "Simulator",
                     continue
             if breaker is not None:
                 breaker.record_success()
-            if counters is not None:
-                counters["successes"].inc()
+            counters["successes"].inc()
             return result
-    if counters is not None:
-        counters["failures"].inc()
+    counters["failures"].inc()
     raise RetriesExhausted(name, attempts, last_exc)

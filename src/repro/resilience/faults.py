@@ -14,8 +14,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Iterable, Optional
 
-from repro.obs.metrics import MetricsRegistry
-
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.net.faults import FaultInjector
     from repro.sim.kernel import Simulator
@@ -37,19 +35,17 @@ class ChaosController:
         Optional :class:`~repro.sim.rng.RngRegistry` for stochastic
         scenarios (fault storms); every draw comes from a named stream so
         storms are reproducible and independent of other components.
-    metrics:
-        Optional shared registry for the ``chaos.*`` counters.
+
+    The ``chaos.*`` counters report into ``sim.metrics``.
     """
 
     def __init__(self, sim: "Simulator",
                  network_faults: Optional["FaultInjector"] = None, *,
-                 rngs: Optional["RngRegistry"] = None,
-                 metrics: Optional[MetricsRegistry] = None) -> None:
+                 rngs: Optional["RngRegistry"] = None) -> None:
         self.sim = sim
         self.network_faults = network_faults
         self.rngs = rngs
-        self.metrics = metrics or MetricsRegistry()
-        self.stats = self.metrics.stats(
+        self.stats = sim.metrics.stats(
             "chaos",
             {"scheduled": 0, "link_faults": 0, "site_faults": 0,
              "partitions": 0, "degradations": 0, "instrument_faults": 0,

@@ -12,7 +12,7 @@ the single policy vocabulary they all share now:
   attempts, so cumulative-deadline semantics are one object, not
   re-derived arithmetic at every call site;
 - :class:`CircuitBreaker` — the classic closed/open/half-open machine,
-  driven entirely by the simulated clock, with registry-backed counters.
+  driven entirely by the simulated clock, with registered counters.
 
 All times are simulated seconds; nothing here reads the wall clock, so
 policies preserve the DESIGN.md determinism contract end to end.
@@ -23,8 +23,6 @@ from __future__ import annotations
 import enum
 import math
 from typing import TYPE_CHECKING, Optional
-
-from repro.obs.metrics import MetricsRegistry, StatsDict
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     import numpy as np
@@ -172,23 +170,21 @@ class CircuitBreaker:
         Consecutive failures that trip a closed breaker.
     recovery_time_s:
         Quarantine length before a probe is admitted.
-    name / metrics:
-        Identity and registry for the ``resilience.breaker.*`` counters;
-        the public :attr:`stats` mapping is a
-        :class:`~repro.obs.metrics.StatsDict` view over them.
+    name:
+        Identity label of the ``resilience.breaker.*`` counters, which
+        the public :attr:`stats` dict registers into ``sim.metrics``.
     """
 
     def __init__(self, sim: "Simulator", *, failure_threshold: int = 3,
-                 recovery_time_s: float = 30.0, name: str = "breaker",
-                 metrics: Optional[MetricsRegistry] = None) -> None:
+                 recovery_time_s: float = 30.0,
+                 name: str = "breaker") -> None:
         if failure_threshold < 1:
             raise ValueError("need failure_threshold >= 1")
         self.sim = sim
         self.failure_threshold = int(failure_threshold)
         self.recovery_time_s = float(recovery_time_s)
         self.name = name
-        self.metrics = metrics or MetricsRegistry()
-        self.stats: StatsDict = self.metrics.stats(
+        self.stats = sim.metrics.stats(
             "resilience.breaker",
             {"successes": 0, "failures": 0, "trips": 0, "rejections": 0},
             breaker=name)

@@ -146,7 +146,6 @@ def mesh_world(seed: int, config: dict) -> dict:
     from repro.data.shard import ShardedDiscoveryIndex
     from repro.net.topology import Topology
     from repro.net.transport import Network
-    from repro.obs.metrics import MetricsRegistry
     from repro.obs.rollup import WindowedCounter
     from repro.obs.trace import Tracer
     from repro.sim.kernel import Simulator
@@ -166,10 +165,9 @@ def mesh_world(seed: int, config: dict) -> dict:
     rng = rngs.stream("mesh")
     topo = Topology.national_lab_testbed(n_facilities)
     net = Network(sim, topo, rngs.stream("net"))
-    metrics = MetricsRegistry()
     tracer = Tracer(sim, run_id=f"mesh-{seed}",
                     max_events=max_trace_events,
-                    spill=config.get("trace_spill"), metrics=metrics)
+                    spill=config.get("trace_spill"))
     index = ShardedDiscoveryIndex(n_shards)
     mesh = FederatedDataMesh(sim, net, index=index, index_site="site-0")
     for i in range(n_facilities):

@@ -66,7 +66,9 @@ class FederatedIdentityProvider:
         self.default_ttl_s = default_ttl_s
         self._identities: dict[str, Identity] = {}
         self._revoked: set[str] = set()
-        self.stats = {"issued": 0, "validated": 0, "rejected": 0}
+        self.stats = sim.metrics.stats(
+            "identity", {"issued": 0, "validated": 0, "rejected": 0},
+            institution=institution)
 
     # -- enrolment ------------------------------------------------------------
 

@@ -59,7 +59,9 @@ class ZeroTrustGateway:
         self.site_institution = site_institution or {}
         self.verify_latency_s = verify_latency_s
         self.audit = AuditLog(sim)
-        self.stats = {"verified": 0, "rejected_authn": 0, "rejected_authz": 0}
+        self.stats = sim.metrics.stats(
+            "zerotrust",
+            {"verified": 0, "rejected_authn": 0, "rejected_authz": 0})
 
     # -- core entry point -----------------------------------------------------
 

@@ -15,8 +15,8 @@ fixed pool of :class:`FacilitySlot` workers, entirely on simulated time:
   :class:`~repro.core.report.CampaignReport`; runners may yield either a
   raw :class:`~repro.core.campaign.CampaignResult` (converted and
   tenant-stamped) or a ready report.
-- ``service.*`` counters, gauges, and latency histograms land in a
-  :class:`repro.obs.metrics.MetricsRegistry`, and every terminal
+- ``service.*`` counters, gauges, and latency histograms land in the
+  world's registry (``sim.metrics``), and every terminal
   transition appends a plain-data row to the decision log, so a whole
   service run hash-verifies under ``repro.scale``.
 
@@ -31,7 +31,6 @@ from typing import Any, Callable, Generator, Optional
 
 from repro.core.campaign import CampaignResult, CampaignSpec
 from repro.core.report import CampaignReport
-from repro.obs.metrics import MetricsRegistry
 from repro.service.errors import (BudgetExhausted, DeadlineExpired, QueueFull,
                                   UnknownTenant)
 from repro.service.handle import CampaignHandle, CampaignStatus
@@ -88,8 +87,8 @@ class CampaignService:
         self.slots = list(slots)
         self.scheduler = scheduler if scheduler is not None \
             else FairShareScheduler()
-        #: The service's own registry for ``service.*`` metrics.
-        self.metrics = MetricsRegistry()
+        #: The world's registry (``sim.metrics``), for ``service.*``.
+        self.metrics = sim.metrics
         self.default_quota = default_quota
         self._tenants: dict[str, TenantState] = {}
         self._seq = 0  # per-service id source, no module globals

@@ -24,6 +24,7 @@ from __future__ import annotations
 from heapq import heappush as _heappush
 from typing import Any, Callable, Generator, Optional
 
+from repro.obs.metrics import MetricsRegistry
 from repro.sim.calendar import CalendarQueue
 from repro.sim.events import AllOf, AnyOf, Event, Timeout
 from repro.sim.ids import _AMBIENT, IdSequencer, bind_ambient
@@ -103,6 +104,9 @@ class Simulator:
         # objects constructed without an explicit handle.
         self.ids = IdSequencer()
         bind_ambient(self.ids)
+        # The world's one metrics registry: every component built on this
+        # kernel registers its counters here (see repro.obs.metrics).
+        self.metrics = MetricsRegistry()
         # Observability hooks (repro.obs): called as hook(time, event).
         # ``None`` (the default) keeps untraced runs on the fast path.
         self.step_hook: Optional[Callable[[float, Event], Any]] = None

@@ -171,12 +171,6 @@ class SiteBuilder:
         self._testbed.with_knowledge(policy)
         return self
 
-    def with_metrics(self, registry: Optional["MetricsRegistry"] = None,
-                     ) -> "SiteBuilder":
-        """Testbed-level: see :meth:`Testbed.with_metrics`."""
-        self._testbed.with_metrics(registry)
-        return self
-
     def with_tracing(self, tracer: Optional["Tracer"] = None,
                      ) -> "SiteBuilder":
         """Testbed-level: see :meth:`Testbed.with_tracing`."""
@@ -214,7 +208,6 @@ class Testbed:
         self._with_mesh = False
         self._mesh_shards: Optional[int] = None
         self._knowledge_policy: Optional[str] = None
-        self._metrics: Optional[MetricsRegistry] = None
         self._tracer: Optional[Tracer] = None
         self._sites: list[_SiteConfig] = []
 
@@ -240,12 +233,6 @@ class Testbed:
     def with_knowledge(self, policy: str = "corrected") -> "Testbed":
         """Share a knowledge base (M9) across all non-isolated sites."""
         self._knowledge_policy = policy
-        return self
-
-    def with_metrics(self,
-                     registry: Optional[MetricsRegistry] = None) -> "Testbed":
-        """Collect all counters/histograms in one shared registry."""
-        self._metrics = registry if registry is not None else MetricsRegistry()
         return self
 
     def with_tracing(self, tracer: Optional[Tracer] = None) -> "Testbed":
@@ -287,7 +274,7 @@ class Testbed:
             seed=self._seed, n_sites=n_sites,
             objective_key=self._objective_key, secure=self._secure,
             with_mesh=self._with_mesh, mesh_shards=self._mesh_shards,
-            metrics=self._metrics, sim=self._sim,
+            sim=self._sim,
             tracer=None if tracer is _DEFERRED_TRACER else tracer)
         if tracer is _DEFERRED_TRACER:
             fed.tracer = Tracer(fed.sim, run_id=f"testbed-{self._seed}")
@@ -339,6 +326,7 @@ class BuiltTestbed:
 
     @property
     def metrics(self) -> MetricsRegistry:
+        """The world's one registry (``sim.metrics``)."""
         return self.fed.metrics
 
     @property

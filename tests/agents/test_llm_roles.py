@@ -23,7 +23,7 @@ def run(sim, gen):
 
 @pytest.fixture
 def llm(sim, rngs):
-    return SimulatedLLM(sim, rngs.stream("llm"), hallucination_rate=0.3)
+    return SimulatedLLM(sim, "site-0", rngs.stream("llm"), hallucination_rate=0.3)
 
 
 # -- simulated LLM ------------------------------------------------------------
@@ -37,7 +37,7 @@ def test_llm_charges_latency_and_tokens(sim, llm, qd_landscape):
 
 
 def test_llm_hallucination_rate_approximate(sim, rngs, qd_landscape):
-    llm = SimulatedLLM(sim, rngs.stream("llm2"), hallucination_rate=0.4)
+    llm = SimulatedLLM(sim, "site-0", rngs.stream("llm2"), hallucination_rate=0.4)
     n = 200
     grounded = []
 
@@ -54,7 +54,7 @@ def test_llm_hallucination_rate_approximate(sim, rngs, qd_landscape):
 
 
 def test_llm_zero_hallucination_always_grounded(sim, rngs, qd_landscape):
-    llm = SimulatedLLM(sim, rngs.stream("llm3"), hallucination_rate=0.0)
+    llm = SimulatedLLM(sim, "site-0", rngs.stream("llm3"), hallucination_rate=0.0)
 
     def proc():
         for _ in range(30):
@@ -67,7 +67,7 @@ def test_llm_zero_hallucination_always_grounded(sim, rngs, qd_landscape):
 
 
 def test_llm_grounded_proposal_perturbs_best(sim, rngs, qd_landscape):
-    llm = SimulatedLLM(sim, rngs.stream("llm4"), hallucination_rate=0.0)
+    llm = SimulatedLLM(sim, "site-0", rngs.stream("llm4"), hallucination_rate=0.0)
     best = qd_landscape.space.sample(np.random.default_rng(0))
     history = [(best, 0.9), (qd_landscape.space.sample(
         np.random.default_rng(1)), 0.1)]
@@ -77,7 +77,7 @@ def test_llm_grounded_proposal_perturbs_best(sim, rngs, qd_landscape):
 
 
 def test_llm_hallucinations_are_detectably_wrong(sim, rngs, qd_landscape):
-    llm = SimulatedLLM(sim, rngs.stream("llm5"), hallucination_rate=1.0)
+    llm = SimulatedLLM(sim, "site-0", rngs.stream("llm5"), hallucination_rate=1.0)
     safety = {"temperature": (60.0, 200.0)}
     bad_somehow = 0
     n = 40
@@ -103,7 +103,7 @@ def test_llm_hallucinations_are_detectably_wrong(sim, rngs, qd_landscape):
 
 
 def test_llm_tool_selection_mostly_right(sim, rngs):
-    llm = SimulatedLLM(sim, rngs.stream("llm6"), tool_error_rate=0.05)
+    llm = SimulatedLLM(sim, "site-0", rngs.stream("llm6"), tool_error_rate=0.05)
     picks = []
 
     def proc():
@@ -120,7 +120,7 @@ def test_llm_validation():
     import numpy as np
     from repro.sim import Simulator
     with pytest.raises(ValueError):
-        SimulatedLLM(Simulator(), np.random.default_rng(0),
+        SimulatedLLM(Simulator(), "site-0", np.random.default_rng(0),
                      hallucination_rate=1.5)
 
 
@@ -140,7 +140,7 @@ def trio(sim, rngs, testbed_network, qd_landscape):
     hal.register(make_vendor_protocol(reactor, "kelvin-sci"))
     optimizer = NestedBayesianOptimizer(qd_landscape.space,
                                         rngs.stream("opt"))
-    llm = SimulatedLLM(sim, rngs.stream("llm"), hallucination_rate=0.0)
+    llm = SimulatedLLM(sim, "site-0", rngs.stream("llm"), hallucination_rate=0.0)
     planner = PlannerAgent(sim, "planner", "site-0", runtime, optimizer, llm)
     executor = ExecutorAgent(sim, "executor", "site-0", runtime, hal,
                              "reactor", spec, objective_key="plqy")
@@ -152,7 +152,7 @@ def trio(sim, rngs, testbed_network, qd_landscape):
 def test_planner_mode_validation(sim, rngs, testbed_network, qd_landscape):
     runtime = AgentRuntime(sim, testbed_network)
     opt = BayesianOptimizer(qd_landscape.space, rngs.stream("o"))
-    llm = SimulatedLLM(sim, rngs.stream("l"))
+    llm = SimulatedLLM(sim, "site-0", rngs.stream("l"))
     with pytest.raises(ValueError):
         PlannerAgent(sim, "p", "site-0", runtime, opt, llm, mode="psychic")
 

@@ -1,7 +1,6 @@
 """Runtime race-auditor tests: ties, registry contention, hook chaining."""
 
 from repro.analysis import RaceAuditor, WatchedRegistry
-from repro.obs.metrics import MetricsRegistry
 from repro.sim.kernel import Simulator
 
 
@@ -177,13 +176,12 @@ def test_install_is_idempotent():
 
 
 def test_counters_report_into_shared_metrics_registry():
-    metrics = MetricsRegistry()
     sim = Simulator()
-    auditor = RaceAuditor(sim, metrics=metrics).install()
+    auditor = RaceAuditor(sim).install()
     sim.schedule_callback(2.0, lambda: None)
     sim.schedule_callback(2.0, lambda: None)
     sim.run()
-    assert metrics.counter("audit.same_time_ties").value == 1
+    assert sim.metrics.counter("audit.same_time_ties").value == 1
     assert auditor.summary()["same_time_ties"] == 1
 
 

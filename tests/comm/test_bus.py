@@ -97,8 +97,8 @@ def test_publish_routes_to_bound_queue(sim, network):
     assert len(broker.queues["xrd-data"]) == 1
     # The depth gauge (read by dashboards and the C002 contract check)
     # tracks the undelivered backlog.
-    assert broker.metrics.gauge("bus.queue.depth", queue="xrd-data",
-                                site="a").value == 1
+    assert sim.metrics.gauge("bus.queue.depth", queue="xrd-data",
+                             site="a").value == 1
 
 
 def test_fanout_to_multiple_queues(sim, network):

@@ -153,10 +153,10 @@ def test_index_hit_and_rebuild_counters(sim, network):
     bus, broker = make_bus(sim, network)
     broker.declare_queue("q")
     broker.bind("q", "t")
-    hits = broker.metrics.counter("bus.route_index_hits",
-                                  broker="main", site="a")
-    rebuilds = broker.metrics.counter("bus.route_index_rebuilds",
-                                      broker="main", site="a")
+    hits = sim.metrics.counter("bus.route_index_hits",
+                               broker="main", site="a")
+    rebuilds = sim.metrics.counter("bus.route_index_rebuilds",
+                                   broker="main", site="a")
     results = {}
 
     def scenario(sim, bus):

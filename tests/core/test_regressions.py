@@ -10,7 +10,10 @@ Each test pins a bug that once existed:
    optimizers the full space, proposing into the unsafe band;
 4. failover probe deadlines — aggressive heartbeat cadences used to
    declare healthy primaries dead because the probe deadline was shorter
-   than the WAN round trip.
+   than the WAN round trip;
+5. shared fault-tolerance tallies — a second fault-tolerant orchestrator
+   on the same lab used to start from the first one's counters and
+   report both campaigns' attempts as its own.
 """
 
 import numpy as np
@@ -59,7 +62,7 @@ def test_campaign_stops_on_verification_stalemate():
         def check(self, plan):
             return ["nope"]
 
-    stack = VerificationStack(fed.sim, [RejectEverything()])
+    stack = VerificationStack(fed.sim, lab.name, [RejectEverything()])
     orch = HierarchicalOrchestrator(fed.sim, lab.planner, lab.executor,
                                     lab.evaluator, verification=stack)
     spec = CampaignSpec(name="stalemate", objective_key="plqy",
@@ -77,7 +80,7 @@ def test_repair_of_optimizer_plan_diversifies(sim, rngs, qd_landscape,
     runtime = AgentRuntime(sim, testbed_network)
     optimizer = NestedBayesianOptimizer(qd_landscape.space,
                                         rngs.stream("opt"))
-    llm = SimulatedLLM(sim, rngs.stream("llm"), hallucination_rate=0.0)
+    llm = SimulatedLLM(sim, "site-0", rngs.stream("llm"), hallucination_rate=0.0)
     planner = PlannerAgent(sim, "p", "site-0", runtime, optimizer, llm)
     rejected = ExperimentPlan(
         params=qd_landscape.space.sample(np.random.default_rng(0)),
@@ -102,7 +105,7 @@ def test_repair_of_llm_plan_uses_optimizer(sim, rngs, qd_landscape,
     runtime = AgentRuntime(sim, testbed_network)
     optimizer = NestedBayesianOptimizer(qd_landscape.space,
                                         rngs.stream("opt"))
-    llm = SimulatedLLM(sim, rngs.stream("llm"))
+    llm = SimulatedLLM(sim, "site-0", rngs.stream("llm"))
     planner = PlannerAgent(sim, "p", "site-0", runtime, optimizer, llm,
                            mode="llm-direct")
     rejected = ExperimentPlan(params={}, source="llm")
@@ -147,3 +150,20 @@ def test_verified_campaign_with_default_wiring_never_stalls():
     result = fed.sim.run(until=proc)
     assert result.n_experiments == 25
     assert result.counters["plans"]["plans"] < 25 * 4
+
+
+def test_fault_tolerance_tallies_are_per_executor():
+    fed = FederationManager(seed=3, n_sites=2)
+    lab = fed.add_lab("site-0", lambda s: QuantumDotLandscape(seed=7),
+                      mtbf_hours=2.0)
+    for i in range(2):
+        orch = fed.make_orchestrator(lab, fault_tolerant=True)
+        assert set(orch.fault_tolerant.stats.values()) == {0}
+        spec = CampaignSpec(name=f"ft-{i}", objective_key="plqy",
+                            max_experiments=8)
+        result = fed.sim.run(until=fed.sim.process(orch.run_campaign(spec)))
+        assert result.n_experiments == 8
+        assert result.report().counters["fault_tolerance"]["attempts"] == 8
+    # The world's registry still sees both campaigns.
+    counters = fed.metrics.snapshot(site="site-0")["counters"]
+    assert counters["faulttol.attempts{site=site-0}"] == 16

@@ -148,7 +148,7 @@ def test_surrogate_verifier_counts_posterior_failures():
 
 def test_stack_short_circuits_cheap_first(sim, physics, twin_verifier,
                                           qd_landscape):
-    stack = VerificationStack(sim, [physics, twin_verifier])
+    stack = VerificationStack(sim, "site-0", [physics, twin_verifier])
     p = good_params(qd_landscape)
     p["temperature"] = 500.0  # caught by physics instantly
     result = run(sim, stack.verify(plan(p)))
@@ -160,7 +160,7 @@ def test_stack_short_circuits_cheap_first(sim, physics, twin_verifier,
 
 def test_stack_passes_good_plan_through_both(sim, physics, twin_verifier,
                                              qd_landscape):
-    stack = VerificationStack(sim, [physics, twin_verifier])
+    stack = VerificationStack(sim, "site-0", [physics, twin_verifier])
     p = good_params(qd_landscape)
     result = run(sim, stack.verify(plan(p)))
     assert result.ok
@@ -169,7 +169,7 @@ def test_stack_passes_good_plan_through_both(sim, physics, twin_verifier,
 
 
 def test_stack_marks_plan_verified(sim, physics, qd_landscape):
-    stack = VerificationStack(sim, [physics])
+    stack = VerificationStack(sim, "site-0", [physics])
     pl = plan(good_params(qd_landscape))
     result = run(sim, stack.verify(pl))
     assert result.ok and pl.verified

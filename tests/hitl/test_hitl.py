@@ -126,7 +126,7 @@ def test_operator_composes_with_verification_stack(sim, rngs, qd_landscape):
                           trust=TrustModel(initial=0.0),
                           safety_envelope={"temperature": (60.0, 200.0)},
                           detection_skill=1.0)
-    stack = VerificationStack(sim, [op])
+    stack = VerificationStack(sim, "site-0", [op])
     result = run(sim, stack.verify(unsafe_plan(qd_landscape)))
     assert not result.ok
 

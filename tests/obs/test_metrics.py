@@ -1,4 +1,4 @@
-"""Tests for the metrics registry: counters, histograms, StatsDict."""
+"""Tests for the metrics registry: counters, histograms, stats dicts."""
 
 import json
 
@@ -102,36 +102,55 @@ def test_render_name():
     assert render_name("n", (("a", "1"), ("b", "2"))) == "n{a=1,b=2}"
 
 
-# -- StatsDict --------------------------------------------------------------
+# -- registered stats dicts -------------------------------------------------
 
 def test_stats_dict_behaves_like_a_dict():
     reg = MetricsRegistry()
-    stats = reg.stats("comp", {"sent": 0, "dropped": 0}, site="s0")
+    initial = {"sent": 0, "dropped": 0}
+    stats = reg.stats("comp", initial, site="s0")
+    assert type(stats) is dict and stats is not initial
     stats["sent"] += 2
-    stats["dropped"] = 1
-    assert stats["sent"] == 2
-    assert dict(stats) == {"sent": 2, "dropped": 1}
-    assert stats == {"sent": 2, "dropped": 1}
-    assert stats != {"sent": 0, "dropped": 1}
-    assert len(stats) == 2 and set(stats) == {"sent", "dropped"}
-    with pytest.raises(TypeError):
-        del stats["sent"]
+    del stats["dropped"]
+    assert stats == {"sent": 2} and initial == {"sent": 0, "dropped": 0}
 
 
 def test_stats_dict_values_visible_in_registry():
     reg = MetricsRegistry()
     stats = reg.stats("comp", {"sent": 0}, site="s0")
     stats["sent"] += 4
-    assert reg.counter("comp.sent", site="s0").value == 4
     assert reg.snapshot(site="s0")["counters"]["comp.sent{site=s0}"] == 4
+    assert reg.state()["counters"] == [["comp.sent", [["site", "s0"]], 4]]
 
 
-def test_stats_rebinding_keeps_existing_tallies():
+def test_same_name_stats_dicts_keep_own_tallies():
     reg = MetricsRegistry()
-    first = reg.stats("comp", {"sent": 0})
+    first = reg.stats("comp", {"sent": 0}, site="s0")
     first["sent"] += 3
-    second = reg.stats("comp", {"sent": 0})  # same counters, not reset
-    assert second["sent"] == 3
+    second = reg.stats("comp", {"sent": 0}, site="s0")
+    second["sent"] += 2
+    reg.counter("comp.sent", site="s0").inc(10)
+    assert first == {"sent": 3} and second == {"sent": 2}
+    assert reg.snapshot()["counters"] == {"comp.sent{site=s0}": 15}
+
+
+def test_stats_key_added_after_registration_appears():
+    reg = MetricsRegistry()
+    stats = reg.stats("planner", {"plans": 0}, site="s0")
+    stats["posterior_errors"] = stats.get("posterior_errors", 0) + 1
+    assert reg.snapshot()["counters"] == {
+        "planner.plans{site=s0}": 0,
+        "planner.posterior_errors{site=s0}": 1}
+
+
+def test_stats_state_round_trips_through_merge_state():
+    reg = MetricsRegistry()
+    reg.stats("comp", {"sent": 3, "bytes": 1.5}, site="s0")
+    reg.stats("comp", {"sent": 4})
+    reg.counter("other").inc(2)
+    reg.histogram("latency").observe(0.25)
+    merged = MetricsRegistry().merge_state(reg.state())
+    assert merged.state() == reg.state()
+    assert merged.snapshot() == reg.snapshot()
 
 
 # -- mergeable registries (PR 7) --------------------------------------------

@@ -124,13 +124,13 @@ def test_single_site_helpers_and_ambiguity():
 
 def test_metrics_and_tracer_shared_across_sites():
     built = (Testbed(seed=4)
-             .with_metrics()
              .with_tracing()
              .site("site-0", landscape=QuantumDotLandscape(seed=7))
              .site("site-1", landscape=QuantumDotLandscape(seed=7))
              .build())
-    assert built.orchestrator("site-0").metrics is built.metrics
-    assert built.orchestrator("site-1").metrics is built.metrics
+    assert built.metrics is built.sim.metrics
+    assert built.orchestrator("site-0").sim.metrics is built.metrics
+    assert built.orchestrator("site-1").sim.metrics is built.metrics
     assert built.orchestrator("site-0").tracer is built.tracer
     assert built.tracer.sim is built.sim
 
@@ -162,3 +162,52 @@ def test_run_report_is_canonical():
 def test_site_builder_has_no_magic_forwarding():
     with pytest.raises(AttributeError):
         Testbed(seed=1).site("site-0").no_such_toggle()
+
+
+def _campaigned_world(budget):
+    built = (Testbed(seed=4)
+             .site("site-0", landscape=QuantumDotLandscape(seed=7))
+             .site("site-1", landscape=QuantumDotLandscape(seed=8))
+             .build())
+    for site in ("site-0", "site-1"):
+        built.run(CampaignSpec(name=f"w-{site}", objective_key="plqy",
+                               max_experiments=budget), site=site)
+    return built
+
+
+def test_world_registry_reads_every_component_counter():
+    built = _campaigned_world(10)
+    assert built.metrics is built.sim.metrics
+    for site in ("site-0", "site-1"):
+        lab = built.lab(site)
+        counters = built.metrics.snapshot(site=site)["counters"]
+        sources = [
+            ("planner", {"agent": lab.planner.name}, lab.planner.plan_stats),
+            ("agent", {"agent": lab.planner.name}, lab.planner.stats),
+            ("executor", {"agent": lab.executor.name},
+             lab.executor.exec_stats),
+            ("evaluator", {"agent": lab.evaluator.name},
+             lab.evaluator.eval_stats),
+            ("llm", {}, lab.planner.llm.stats),
+            ("verification", {},
+             built.orchestrator(site).verification.stats),
+            ("instrument", {"name": lab.synthesis.name}, lab.synthesis.stats),
+            ("instrument", {"name": lab.characterization.name},
+             lab.characterization.stats),
+        ]
+        for prefix, labels, stats in sources:
+            labels = ",".join(f"{k}={v}" for k, v in
+                              sorted({**labels, "site": site}.items()))
+            assert stats  # every source registered at least one key
+            for key, value in stats.items():
+                assert counters[f"{prefix}.{key}{{{labels}}}"] == value
+        assert lab.planner.plan_stats["plans"] >= 10
+        assert lab.synthesis.stats["operations"] == 10
+
+
+def test_registry_size_does_not_grow_with_campaign_length():
+    # Components register once, in their constructors: a longer campaign
+    # adds no registered dicts, so the registry stays bounded.
+    short, long = _campaigned_world(10), _campaigned_world(40)
+    assert long.lab("site-0").synthesis.stats["operations"] == 40
+    assert len(short.metrics._stats) == len(long.metrics._stats)

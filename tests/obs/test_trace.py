@@ -102,7 +102,6 @@ def test_untraced_simulator_has_no_hooks():
 
 def _traced_run():
     built = (Testbed(seed=5)
-             .with_metrics()
              .with_tracing()
              .site("site-0", landscape=QuantumDotLandscape(seed=7))
              .build())
@@ -152,15 +151,13 @@ def test_unbounded_tracer_keeps_plain_list(sim):
 
 
 def test_ring_bounds_memory_and_counts_drops(sim):
-    from repro.obs.metrics import MetricsRegistry
-    reg = MetricsRegistry()
-    tr = Tracer(sim, max_events=3, metrics=reg)
+    tr = Tracer(sim, max_events=3)  # reports into sim.metrics by default
     for i in range(10):
         tr.instant("e", i=i)
     assert len(tr.events) == 3
     assert [ev.attrs["i"] for ev in tr.events] == [7, 8, 9]  # hot tail
     assert tr.dropped == 7
-    assert reg.counter("obs.dropped_events").value == 7
+    assert sim.metrics.counter("obs.dropped_events").value == 7
 
 
 def test_ring_rejects_nonpositive_size(sim):

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
 from repro.resilience import (CircuitBreaker, CircuitOpen, Deadline,
                               DeadlineExceeded, RetriesExhausted, RetryPolicy,
@@ -153,18 +152,17 @@ def test_recover_hook_runs_before_each_retry(sim):
 
 
 def test_registry_counters_and_on_retry(sim):
-    reg = MetricsRegistry()
     retries = []
 
     def driver():
         result = yield from resilient_call(
             sim, flaky_then_ok(sim, 2),
             policy=RetryPolicy(5, base_delay_s=0.0), name="unit",
-            metrics=reg, on_retry=lambda n, exc: retries.append(n))
+            on_retry=lambda n, exc: retries.append(n))
         return result
 
     run(sim, driver())
-    snap = reg.snapshot()["counters"]
+    snap = sim.metrics.snapshot()["counters"]
     assert snap["resilience.call.calls{call=unit}"] == 1
     assert snap["resilience.call.attempts{call=unit}"] == 3
     assert snap["resilience.call.retries{call=unit}"] == 2

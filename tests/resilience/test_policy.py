@@ -4,7 +4,6 @@ import math
 
 import pytest
 
-from repro.obs.metrics import MetricsRegistry
 from repro.resilience import (UNLIMITED_ATTEMPTS, CircuitBreaker, CircuitState,
                               Deadline, RetryPolicy)
 from repro.sim.rng import RngRegistry
@@ -120,9 +119,7 @@ class TestCircuitBreaker:
         assert br.state is CircuitState.CLOSED
 
     def test_stats_live_in_shared_registry(self, sim):
-        reg = MetricsRegistry()
-        br = CircuitBreaker(sim, failure_threshold=1, name="db",
-                            metrics=reg)
+        br = CircuitBreaker(sim, failure_threshold=1, name="db")
         br.record_failure()
-        snap = reg.snapshot()
+        snap = sim.metrics.snapshot()
         assert snap["counters"]["resilience.breaker.trips{breaker=db}"] == 1

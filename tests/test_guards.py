@@ -7,6 +7,11 @@
 - Importing the simulator does not import ``scipy.stats``: nothing in
   ``repro`` needs it, and importing it adds to every process's start-up
   time and resident memory.
+- Every world has one metrics registry, ``sim.metrics``: a
+  ``MetricsRegistry(`` call in ``src/repro`` outside the kernel, the
+  scale runner's merged view and ``repro/perf`` fails here, and so does
+  the name of the deleted dict-view class anywhere in ``src/`` or
+  ``tests/``.
 """
 
 from __future__ import annotations
@@ -47,3 +52,36 @@ def test_simulator_imports_leave_scipy_stats_out():
                           env={**os.environ,
                                "PYTHONPATH": str(ROOT / "src")})
     assert proc.returncode == 0, proc.stderr
+
+
+#: Where a ``MetricsRegistry`` may be built: one per world in the kernel,
+#: the cross-process merge in the scale runner, and the perf harness.
+REGISTRY_HOMES = ("sim/kernel.py", "scale/runner.py", "perf/")
+#: Assembled so this file does not match its own search.
+DELETED_VIEW = "Stats" + "Dict"
+
+
+def _registry_constructions():
+    for path in sorted(PACKAGE.rglob("*.py")):
+        rel = path.relative_to(PACKAGE).as_posix()
+        if rel.startswith(REGISTRY_HOMES):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, (ast.Name, ast.Attribute))
+                    and getattr(node.func, "id",
+                                getattr(node.func, "attr", None))
+                    == "MetricsRegistry"):
+                yield f"{rel}:{node.lineno}"
+
+
+def test_metrics_registries_are_built_only_by_their_homes():
+    assert list(_registry_constructions()) == []
+
+
+def test_deleted_stats_view_is_not_named():
+    hits = [str(path.relative_to(ROOT))
+            for top in ("src", "tests")
+            for path in sorted((ROOT / top).rglob("*.py"))
+            if DELETED_VIEW in path.read_text()]
+    assert hits == []
