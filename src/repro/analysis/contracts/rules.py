@@ -12,7 +12,7 @@ list of :class:`Finding`:
 - **C001–C004** — the cross-module string contracts, which need the
   whole-program view: a publish in ``repro.data.ingest`` is only correct
   relative to a bind in some *other* module, and a metric name is only
-  alive if something on the read side (a report, a perf gate, a test)
+  alive if something on the read side (a report, a benchmark, a test)
   ever mentions it.
 
 Rule summary
@@ -64,7 +64,7 @@ RULE_TABLE: dict[str, tuple[str, str]] = {
              "bind a queue whose pattern matches the published topic (or "
              "delete the dead publish / unmatched binding)"),
     "C002": ("metric-name drift",
-             "read the metric in a report, perf gate, or test — or delete "
+             "read the metric in a report, benchmark, or test — or delete "
              "the emission; never reuse one name across metric kinds"),
     "C003": ("resilience hygiene",
              "pass deadline=Deadline(sim, budget) to resilient_call, or "
@@ -291,7 +291,7 @@ def _check_metrics(index: ProjectIndex) -> list[Finding]:
             out.append(_finding(
                 "C002", "warn", facts, line, col,
                 f"{kind} {name!r} is emitted but never read by any "
-                f"report, stats surface, perf gate, or test",
+                f"report, stats surface, benchmark, or test",
                 key=f"unread:{name}"))
     return out
 

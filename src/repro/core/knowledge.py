@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Mapping, Optional
 
 from repro.methods.transfer import TransferAdapter
+from repro.net.transport import Unreachable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.labsci.landscapes import ParameterSpace
@@ -125,7 +126,7 @@ class KnowledgeBase:
         try:
             path = self.network.route(src, peer.site)
             delay = self.network.sample_delay(path, OBSERVATION_BYTES)
-        except Exception:
+        except Unreachable:
             # Fail open: an unreachable peer never sees this donation,
             # and the campaign carries on without it — counted, not raised.
             self.stats["lost"] += 1

@@ -40,7 +40,7 @@ space thousands of times per decision, so the space carries a vectorized
   the generator in exactly this order.  It deliberately differs from
   the scalar :meth:`sample` stream (which interleaves dims per point) —
   the two agree in distribution (per-dim marginals are identical, and
-  the ``bo_ask`` perf workload KS-checks that), not in the exact
+  ``tests/labsci/test_landscapes.py`` KS-checks that), not in the exact
   variates, which is why seeded decision hashes moved exactly once when
   the batch path landed (see DESIGN.md);
 - :meth:`encode_batch` (from dicts) and :meth:`encode_raw_batch` (from
@@ -222,8 +222,8 @@ class ParameterSpace:
         with ``rng.uniform(low, high, size=n)``, discrete dims with
         ``rng.integers(n_choices, size=n)`` choice indices.  Per-dim
         marginals match the scalar :meth:`sample`; the exact variate
-        stream does not (the ``bo_ask`` perf workload witnesses the
-        distributional agreement).
+        stream does not (``tests/labsci/test_landscapes.py`` witnesses
+        the distributional agreement).
         """
         raw = np.empty((n, len(self.dims)), dtype=np.float64)
         for j, d in enumerate(self.dims):

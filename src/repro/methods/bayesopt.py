@@ -18,10 +18,10 @@ The ask path is fully batched: candidate pools come from
 :meth:`ParameterSpace.sample_batch` as a raw ``(n, d)`` matrix, incumbent
 jitter is one vectorized normal draw, and encoding goes through
 :meth:`ParameterSpace.encode_raw_batch` — zero per-candidate Python
-iteration between candidate generation and the acquisition argmax.  The
-pre-vectorization scalar path is frozen verbatim in
-:mod:`repro.perf.legacy_ask`; the ``bo_ask`` perf workload gates the
-speedup and witnesses distributional equivalence of the two samplers.
+iteration between candidate generation and the acquisition argmax.
+``tests/methods/test_optimizers.py`` holds one ask's call count flat as
+the pool grows; ``tests/labsci/test_landscapes.py`` KS-checks the batched
+sampler against the scalar one.
 """
 
 from __future__ import annotations

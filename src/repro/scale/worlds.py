@@ -13,8 +13,8 @@ encode.  These two cover the repo's staple multi-seed shapes:
   :class:`~repro.service.CampaignService` under mixed load, whose
   decision log pins every admission/dispatch/terminal transition.
 
-All are used by the ``parallel_worlds`` perf workload, the
-``python -m repro.scale`` CLI, and the CI ``parallel-equivalence`` job.
+All are used by the ``python -m repro.scale`` CLI and the CI
+``parallel-equivalence`` job (whose 4-worker leg also times a bo sweep).
 """
 
 from __future__ import annotations

@@ -272,7 +272,7 @@ class CampaignService:
             self.metrics.histogram(
                 "service.submit_to_complete", tenant=handle.tenant,
                 lo=1e-3).observe(handle.latency)
-            # Unlabeled aggregate: the p99 the perf gate is stated over.
+            # Unlabeled aggregate: the p99 the service tests bound.
             self.metrics.histogram("service.submit_to_complete",
                                    lo=1e-3).observe(handle.latency)
         self._decision_log.append([

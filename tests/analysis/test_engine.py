@@ -252,12 +252,10 @@ def test_detlint_self_check_repo_is_clean(repo_report):
     # Every suppression in the tree carries its pragma deliberately; the
     # inventory is pinned so a new pragma is an explicit decision here:
     # - sim/ids.py D001: the documented no-world fallback sequencer;
-    # - perf/harness.py D002: the perf harness's one wall-clock read;
     # - analysis/__main__.py D002: CLI elapsed-time display;
     # - scale/runner.py D006: the sanctioned process-pool call site;
     # - C003: loops and calls that look like ad-hoc retries but are not.
-    sanctioned = {("sim/ids.py", "D001"), ("perf/harness.py", "D002"),
-                  ("analysis/__main__.py", "D002"),
+    sanctioned = {("sim/ids.py", "D001"), ("analysis/__main__.py", "D002"),
                   ("scale/runner.py", "D006"),
                   ("comm/failover.py", "C003"), ("comm/rpc.py", "C003"),
                   ("core/faulttol.py", "C003"), ("data/ingest.py", "C003"),

@@ -77,6 +77,64 @@ def test_route_index_adversarial_hash_patterns_fast():
     assert index.match(long_topic + ".end") == ("q",)
 
 
+# -- work counts ----------------------------------------------------------------
+
+def _broker_table(seed, n_topics=200):
+    """A busy federation broker: every site/instrument pair publishes
+    telemetry, and 48 consumers subscribe with a mix of exact topics,
+    ``*`` holes and ``#`` tails (697 bindings at seed 0)."""
+    rng = np.random.default_rng(seed)
+    sites = [f"site-{i}" for i in range(12)]
+    kinds = ["xrd", "microscope", "furnace", "flow", "spectrometer"]
+    streams = ["scan", "status", "calib", "alert"]
+
+    def pick(options):
+        return options[int(rng.integers(len(options)))]
+
+    bindings = []
+    for q in range(48):
+        for _ in range(int(rng.integers(8, 22))):
+            shape = rng.random()
+            site, kind, stream = pick(sites), pick(kinds), pick(streams)
+            if shape < 0.35:
+                pattern = f"lab.{site}.{kind}.{stream}"
+            elif shape < 0.6:
+                pattern = f"lab.*.{kind}.{stream}"
+            elif shape < 0.8:
+                pattern = f"lab.{site}.#"
+            else:
+                pattern = f"lab.#.{stream}"
+            bindings.append((pattern, f"q-{q}"))
+    topics = []
+    for _ in range(n_topics):
+        site, kind, stream = pick(sites), pick(kinds), pick(streams)
+        depth = rng.random()
+        if depth < 0.7:
+            topics.append(f"lab.{site}.{kind}.{stream}")
+        elif depth < 0.9:
+            topics.append(f"lab.{site}.{kind}.{stream}.chunk-3")
+        else:
+            topics.append(f"ops.{site}.{stream}")
+    return bindings, topics
+
+
+def test_route_calls_do_not_grow_with_unmatched_bindings(call_counts):
+    """Routing walks only the trie states a topic reaches: growing the
+    table 4x with bindings no topic matches leaves the calls made to
+    route 200 topics unchanged.  A linear scan over the bindings would
+    pay for every one of them."""
+    bindings, topics = _broker_table(0)
+    padding = [(f"void-{k % 7}.x{k}.{k % 5}", f"q-{k % 48}")
+               for k in range(3 * len(bindings))]
+    counts = []
+    for table in (bindings, bindings + padding):
+        index = RouteIndex(table)
+        counts.append(call_counts(lambda: [index.match(t) for t in topics]))
+        assert [index.match(t) for t in topics] == [
+            _oracle_match(bindings, t) for t in topics]
+    assert counts[0] == counts[1]
+
+
 # -- broker-side invalidation --------------------------------------------------
 
 def make_bus(sim, network):

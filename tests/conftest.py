@@ -1,5 +1,8 @@
 """Shared fixtures for the AISLE test suite."""
 
+import gc
+import sys
+
 import pytest
 
 from repro.net import FaultInjector, Link, Network, Site, Topology
@@ -52,3 +55,34 @@ def qd_landscape():
 def qd_params(qd_landscape):
     import numpy as np
     return qd_landscape.space.sample(np.random.default_rng(0))
+
+
+def _call_counts(fn):
+    """``(python calls, C calls)`` made while running ``fn()``.
+
+    Read with :func:`sys.setprofile`, so the counts depend on the code
+    path alone, never on the machine: a work-count test compares them
+    between two problem sizes in the same run to show that a cost does
+    not grow with the size.  The cyclic collector is paused meanwhile:
+    finalizers of earlier tests' garbage would otherwise add calls.
+    """
+    counts = {"call": 0, "c_call": 0}
+
+    def profile(frame, event, arg):
+        if event in counts:
+            counts[event] += 1
+
+    gc.collect()
+    gc.disable()
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+        gc.enable()
+    return counts["call"], counts["c_call"]
+
+
+@pytest.fixture
+def call_counts():
+    return _call_counts

@@ -123,6 +123,26 @@ def test_unroutable_donation_is_counted(sim, testbed_topo, rngs, space):
     assert kb.stats["propagated"] == 2
 
 
+def test_ship_counts_partitions_but_raises_programming_errors(
+        sim, testbed_topo, rngs, space, monkeypatch):
+    from repro.net import FaultInjector, Network
+    faults = FaultInjector(sim)
+    network = Network(sim, testbed_topo, rngs.stream("net"), faults)
+    kb, _ = make_kb(sim, network, space, "raw")
+    faults.partition(["site-0"], ["site-1", "site-2"])
+    kb.publish("site-0", {"x": 0.5}, 0.7)  # both peers cut off: no raise
+    assert kb.stats["lost"] == 2
+    faults.heal_partitions()
+
+    def broken(path, size_bytes):
+        raise RuntimeError("delay model bug")
+
+    monkeypatch.setattr(network, "sample_delay", broken)
+    with pytest.raises(RuntimeError, match="delay model bug"):
+        kb.publish("site-0", {"x": 0.3}, 0.1)
+    assert kb.stats["lost"] == 2
+
+
 def test_reasoning_traces_collected(sim, testbed_network, space):
     kb, _ = make_kb(sim, testbed_network, space, "raw")
     kb.publish("site-0", {"x": 0.5}, 0.7, trace="plan-1: BO argmax")

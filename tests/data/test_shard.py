@@ -1,5 +1,6 @@
 """Tests for the facility-sharded discovery index."""
 
+import numpy as np
 import pytest
 
 from repro.data import DiscoveryIndex, ShardedDiscoveryIndex, shard_for
@@ -197,3 +198,71 @@ def test_sharded_merge_matches_single_index(sharded):
 def test_sharded_merge_rejects_mismatched_shard_counts(sharded):
     with pytest.raises(ValueError):
         sharded.merge_from(ShardedDiscoveryIndex(n_shards=8))
+
+
+# -- work counts ----------------------------------------------------------------
+
+TECHNIQUES = ("powder-xrd", "uv-vis", "saxs", "xps", "raman", "nmr")
+
+
+def _mesh(n_facilities, seed=0, records_per=5):
+    """A facility corpus plus a 240-query governance stream: technique
+    sweeps, institutional audits, facility listings, primary-key
+    fetches."""
+    rng = np.random.default_rng(seed)
+    entries = [entry(f * records_per + r, f"site-{f}",
+                     technique=TECHNIQUES[int(rng.integers(6))],
+                     institution=f"inst-{f % 40}")
+               for f in range(n_facilities) for r in range(records_per)]
+    queries = []
+    for _ in range(240):
+        shape = rng.random()
+        if shape < 0.4:
+            queries.append({"metadata.technique":
+                            TECHNIQUES[int(rng.integers(6))]})
+        elif shape < 0.7:
+            queries.append({"institution": f"inst-{int(rng.integers(40))}"})
+        elif shape < 0.9:
+            queries.append({"site": f"site-{int(rng.integers(n_facilities))}"})
+        else:
+            queries.append({"record_id": entries[int(
+                rng.integers(len(entries)))]["record_id"]})
+    return entries, queries
+
+
+def _unmatched(start, n):
+    """Entries that no governance query in :func:`_mesh` selects."""
+    return [entry(start + i, f"pad-site-{i % 97}", technique="pad",
+                  institution="pad-inst") for i in range(n)]
+
+
+def _index(entries):
+    idx = ShardedDiscoveryIndex(n_shards=32)
+    for e in entries:
+        idx.publish(e)
+    return idx
+
+
+def test_query_calls_do_not_grow_with_unmatched_entries(call_counts):
+    """Queries probe postings, never scan: padding a 1000-facility corpus
+    with 3x entries no query matches leaves the calls unchanged."""
+    entries, queries = _mesh(1000)
+    counts, results = [], []
+    for corpus in (entries, entries + _unmatched(len(entries),
+                                                 3 * len(entries))):
+        idx = _index(corpus)
+        counts.append(call_counts(
+            lambda: results.append([idx.query(**q) for q in queries])))
+    assert counts[0] == counts[1]
+    assert results[0] == results[1]
+
+
+def test_publish_calls_do_not_grow_with_index_size(call_counts):
+    """Publishing the same 100 entries costs the same calls into a
+    250-facility index as into a 1000-facility one."""
+    probe = _unmatched(10_000, 100)
+    counts = []
+    for n_facilities in (250, 1000):
+        idx = _index(_mesh(n_facilities)[0])
+        counts.append(call_counts(lambda: [idx.publish(e) for e in probe]))
+    assert counts[0] == counts[1]

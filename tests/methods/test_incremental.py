@@ -5,14 +5,19 @@ The campaign layer streams observations through
 contract that makes that safe: an observe chain is numerically equivalent
 to one ``fit`` on the concatenated data — posterior means/stds to 1e-8
 and, crucially for decision parity, the same acquisition argmax — and it
-never pays an O(n³) refactorization.
+never pays an O(n³) refactorization.  A whole BO campaign's surrogate
+work is then fixed by its refit schedule alone.
 """
 
 import numpy as np
 import pytest
 
 import repro.methods.gp as gp_mod
-from repro.methods import GaussianProcess, Matern52, RBF
+from repro.labsci import QuantumDotLandscape
+from repro.methods import BayesianOptimizer, GaussianProcess, Matern52, RBF
+from repro.methods.bayesopt import REFIT_EVERY
+from repro.methods.gp import AMPLITUDE_GRID, LENGTHSCALE_GRID
+from repro.methods.kernels import _Stationary
 
 
 def _make_problem(seed: int):
@@ -78,3 +83,51 @@ def test_observe_duplicate_point_falls_back_to_fit():
     assert gp.n_observations == 11
     mean, std = gp.predict(X)
     assert np.all(np.isfinite(mean)) and np.all(np.isfinite(std))
+
+
+def test_campaign_surrogate_work_follows_refit_schedule(monkeypatch):
+    """Over a BO campaign (budget 64, then 150; 280-candidate pools):
+
+    - each grid search factors every (lengthscale, amplitude) candidate
+      once and computes one distance matrix per lengthscale;
+    - every other GP ask streams the last tell in as a rank-1 update;
+    - ``predict`` never builds a query-by-query kernel matrix.
+    """
+    counts = {"grids": 0, "sqdist": 0}
+    kernel_calls = []
+    real_grid = GaussianProcess.fit_hyperparameters
+    real_sqdist = gp_mod._sqdist
+    real_kernel = _Stationary.__call__
+
+    def grid(self, *args, **kwargs):
+        counts["grids"] += 1
+        return real_grid(self, *args, **kwargs)
+
+    def sqdist(*args, **kwargs):
+        counts["sqdist"] += 1
+        return real_sqdist(*args, **kwargs)
+
+    def kernel(self, a, b):
+        kernel_calls.append((len(np.atleast_2d(a)), len(np.atleast_2d(b))))
+        return real_kernel(self, a, b)
+
+    monkeypatch.setattr(GaussianProcess, "fit_hyperparameters", grid)
+    monkeypatch.setattr(gp_mod, "_sqdist", sqdist)
+    monkeypatch.setattr(_Stationary, "__call__", kernel)
+
+    land = QuantumDotLandscape(seed=2)
+    pool = 280
+    opt = BayesianOptimizer(land.space, np.random.default_rng(0),
+                            n_candidates=pool)
+    for budget, done in ((64, 0), (150, 64)):
+        for _ in range(budget - done):
+            p = opt.ask()
+            opt.tell(p, land.objective_value(p))
+        gp_asks = budget - opt.n_init
+        grids = 1 + (gp_asks - 1) // REFIT_EVERY
+        assert counts["grids"] == grids
+        assert opt.gp.n_factorizations == (
+            len(LENGTHSCALE_GRID) * len(AMPLITUDE_GRID) * grids)
+        assert counts["sqdist"] == len(LENGTHSCALE_GRID) * grids
+        assert opt.gp.n_incremental_updates == gp_asks - grids
+    assert max(min(shape) for shape in kernel_calls) < pool

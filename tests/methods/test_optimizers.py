@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.labsci import (ContinuousDim, DiscreteDim, ParameterSpace,
-                          SyntheticLandscape)
+                          QuantumDotLandscape, SyntheticLandscape)
 from repro.methods import (BayesianOptimizer, GridSearch, LatinHypercube,
                            NestedBayesianOptimizer, RandomSearch,
                            expected_improvement, probability_of_improvement,
@@ -322,3 +322,19 @@ def test_perturb_batch_stays_in_bounds(mixed_space):
     for p in mixed_space.decode_batch(raw):
         mixed_space.validate(p)
         assert p["chem"] == "b"  # discrete coordinates never jittered
+
+
+def test_ask_calls_do_not_grow_with_pool_size(call_counts):
+    """The ask path is batched end to end: one ask makes the same Python
+    and C calls whatever the candidate pool size.  A per-candidate
+    ``sample``/``encode`` loop would add calls with every candidate."""
+    def twelfth_ask(n_candidates):
+        land = QuantumDotLandscape(seed=2)
+        opt = BayesianOptimizer(land.space, np.random.default_rng(0),
+                                n_candidates=n_candidates)
+        for _ in range(11):  # 8 random, then GP asks on a live surrogate
+            p = opt.ask()
+            opt.tell(p, land.objective_value(p))
+        return call_counts(opt.ask)
+
+    assert twelfth_ask(128) == twelfth_ask(512) == twelfth_ask(2048)

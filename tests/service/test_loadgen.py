@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.scale.hashing import decision_hash
 from repro.service import (CampaignService, FacilitySlot, LoadGenerator,
                            TenantLoad, TenantQuota, jain_fairness,
                            synthetic_runner)
@@ -114,3 +115,38 @@ def test_bad_load_shapes_rejected():
     svc = make_service(1)
     with pytest.raises(ValueError):
         LoadGenerator(svc, [])
+
+
+def _multitenant_run(seed):
+    """Eight tenants push 1200 campaigns through 32 shared slots: four
+    closed-loop standing pipelines (40 in flight each) and four open-loop
+    Poisson partners with deadlines."""
+    svc = make_service(32, seed=seed, mean_experiment_s=240.0)
+    quota = TenantQuota(max_in_flight=40, max_queued=200)
+    loads = [TenantLoad(name=f"closed-{i}", mode="closed", campaigns=150,
+                        concurrency=40, experiments=6, quota=quota)
+             for i in range(4)]
+    loads += [TenantLoad(name=f"open-{i}", mode="open", campaigns=150,
+                         arrival_rate_per_s=0.1, experiments=6,
+                         deadline_s=200_000.0, quota=quota)
+              for i in range(4)]
+    summary = LoadGenerator(svc, loads, seed=seed).run()
+    return summary, decision_hash(svc.decision_log())
+
+
+def test_multitenant_fairness_and_tail_latency():
+    """Sim-time service quality under a mixed load, fully deterministic:
+    the values it has today, inside the bounds the service must hold
+    (>= 8 tenants, >= 500 in flight at peak, Jain fairness >= 0.8, p99
+    submit-to-complete <= 100000 s)."""
+    out, digest = _multitenant_run(0)
+    assert _multitenant_run(0)[1] == digest
+    assert out["fairness"] == pytest.approx(1.0)
+    assert round(out["p99_submit_to_complete_s"], 2) == 53528.12
+    assert out["campaigns_completed"] == 1200
+    assert out["peak_in_system"] == 760
+    assert out["rejections"] == 0
+    assert len(out["tenants"]) >= 8
+    assert out["peak_in_system"] >= 500
+    assert out["fairness"] >= 0.8
+    assert out["p99_submit_to_complete_s"] <= 100_000.0

@@ -8,19 +8,23 @@ from two directions:
   :class:`~repro.sim.calendar.CalendarQueue` and ``heapq`` must pop in
   the same global ``(time, seq)`` order, including same-time ties and
   mid-stream ``stop_at`` boundaries;
-- kernel-level: the same mixed program (coalesced pollers, random-delay
+- kernel-level: a mixed program (coalesced pollers, random-delay
   chains, interrupt-cancelled timeouts, ``schedule_callback`` deferred
-  resolution) run on the live :class:`~repro.sim.kernel.Simulator` and
-  on the frozen :class:`~repro.perf.legacy_kernel.LegacySimulator` must
-  produce identical event traces and identical decision hashes.
+  resolution) runs on the live :class:`~repro.sim.kernel.Simulator`
+  under a shadow ``heapq`` that must pop every event the kernel
+  processes, at the same time; its trace and decision log must hash to
+  the values the retired binary-heap kernel produced.
+
+A polling-fleet count test holds the structure's work: identical-period
+timeouts share buckets and far-future deadlines park in the far band.
 """
 
 import heapq
+import itertools
 
 import numpy as np
 import pytest
 
-from repro.perf.legacy_kernel import LegacySimulator
 from repro.scale.hashing import decision_hash
 from repro.sim.calendar import CalendarQueue
 from repro.sim.kernel import Simulator
@@ -153,9 +157,43 @@ def test_coalescing_counts_shared_buckets():
 # -- kernel-level equivalence --------------------------------------------------
 
 
-def _norm_kind(event) -> str:
-    """Class name normalized across live and frozen-legacy kernels."""
-    return type(event).__name__.replace("Legacy", "").lstrip("_")
+def _shadow_heap(sim, trace: list) -> list:
+    """Check every kernel pop against a heap of ``(at, seq, event)``.
+
+    Pushes on ``schedule_hook`` and pops on ``step_hook``: the event the
+    kernel processes must be the heap's top, at the heap's time.  Each
+    checked pop is appended to ``trace``.  Returns the heap.
+    """
+    heap: list = []
+    seq = itertools.count()
+
+    def scheduled(at, event):
+        heapq.heappush(heap, (at, next(seq), event))
+
+    def stepped(now, event):
+        at, _, expected = heapq.heappop(heap)
+        assert event is expected and now == at, (now, event, at, expected)
+        trace.append((now, type(event).__name__.lstrip("_")))
+
+    sim.schedule_hook = scheduled
+    sim.step_hook = stepped
+    return heap
+
+
+#: ``decision_hash([trace, log])`` and end time of the mixed program per
+#: seed, recorded when the binary-heap kernel was retired (it produced
+#: the same values): they pin the process/event semantics it certified.
+_PINNED = {
+    0: ("407741c29febef58d325740ec64e6dd71296875f5525b14551ab2db148d76d02",
+        100.0),
+    5: ("9d78a9fcd4f4fef8e8a6fcdd5860e15170013905400dc9d5665a9d2660c4059d",
+        100.0),
+    2024: ("ea5a3801fa66f2c913bc28a7bb8fb0e876baaf265b54e6e56ce1383081b20735",
+           100.0),
+}
+#: The same for seed 7 driven through ``run(until=...)`` windows.
+_PINNED_WINDOWS = (
+    "7d140e55fd8dfe88dc156442ef4875912e7dbc39a8f472a884495acb36d1993b", 100.0)
 
 
 def _mixed_program(sim, seed: int):
@@ -215,38 +253,51 @@ def _mixed_program(sim, seed: int):
     return log
 
 
-def _run_traced(sim_cls, seed: int):
-    sim = sim_cls()
+@pytest.mark.parametrize("seed", sorted(_PINNED))
+def test_kernel_matches_shadow_heap_and_pinned_hash(seed):
+    sim = Simulator()
     trace: list = []
-    sim.step_hook = lambda now, event: trace.append((now, _norm_kind(event)))
+    heap = _shadow_heap(sim, trace)
     log = _mixed_program(sim, seed)
     sim.run()
-    return trace, log, sim.now
-
-
-@pytest.mark.parametrize("seed", [0, 5, 2024])
-def test_kernel_equivalence_with_frozen_legacy(seed):
-    fast_trace, fast_log, fast_end = _run_traced(Simulator, seed)
-    legacy_trace, legacy_log, legacy_end = _run_traced(LegacySimulator, seed)
-    assert fast_end == legacy_end
-    assert fast_trace == legacy_trace       # event-for-event, tie-for-tie
-    assert fast_log == legacy_log           # user-visible decisions
-    assert (decision_hash([fast_trace, fast_log])
-            == decision_hash([legacy_trace, legacy_log]))
+    assert not heap
+    assert (decision_hash([trace, log]), sim.now) == _PINNED[seed]
 
 
 def test_kernel_equivalence_across_run_until_boundaries():
-    def run_windows(sim_cls):
-        sim = sim_cls()
-        trace: list = []
-        sim.step_hook = lambda now, event: trace.append((now, _norm_kind(event)))
-        log = _mixed_program(sim, seed=7)
-        for until in (0.75, 2.0, 2.0, 6.5):  # repeated + mid-bucket stops
-            sim.run(until=until)
-            trace.append(("window", sim.now))
-        sim.run()
-        return trace, log
+    sim = Simulator()
+    trace: list = []
+    heap = _shadow_heap(sim, trace)
+    log = _mixed_program(sim, seed=7)
+    for until in (0.75, 2.0, 2.0, 6.5):  # repeated + mid-bucket stops
+        sim.run(until=until)
+        trace.append(("window", sim.now))
+    sim.run()
+    assert not heap
+    assert (decision_hash([trace, log]), sim.now) == _PINNED_WINDOWS
 
-    fast = run_windows(Simulator)
-    legacy = run_windows(LegacySimulator)
-    assert fast == legacy
+
+# -- work counts ----------------------------------------------------------------
+
+
+def test_polling_fleet_coalesces_and_parks_far_deadlines():
+    """1000 same-period pollers for 200 ticks share one bucket per tick,
+    while 5000 far-future watchdogs wait in the far band: a kernel that
+    pushed every timeout as its own heap node would coalesce nothing."""
+    sim = Simulator()
+    for i in range(5000):
+        sim.timeout(1e6 + i * 1e-3)
+    ticks = [0]
+
+    def drive():
+        if ticks[0] < 200:
+            ticks[0] += 1
+            for _ in range(1000):
+                sim.timeout(0.25)
+            sim.schedule_callback(0.25, drive)
+
+    sim.schedule_callback(0.0, drive)
+    sim.run(until=200 * 0.25 + 1.0)
+    assert sim.queue_stats() == {
+        "coalesced": 194000, "buckets_opened": 195, "far_deferred": 11006,
+        "migrated": 6006, "pending": 5000}

@@ -3,13 +3,13 @@
 - Uniform draws from a sequence use ``seq[int(rng.integers(len(seq)))]``:
   it consumes the generator exactly as ``Generator.choice`` does, at a
   fraction of its per-call cost.  Any ``.choice(`` call in ``src/repro``
-  fails here; the frozen ``repro/perf/legacy*.py`` copies are exempt.
+  fails here.
 - Importing the simulator does not import ``scipy.stats``: nothing in
   ``repro`` needs it, and importing it adds to every process's start-up
   time and resident memory.
 - Every world has one metrics registry, ``sim.metrics``: a
-  ``MetricsRegistry(`` call in ``src/repro`` outside the kernel, the
-  scale runner's merged view and ``repro/perf`` fails here, and so does
+  ``MetricsRegistry(`` call in ``src/repro`` outside the kernel and the
+  scale runner's merged view fails here, and so does
   the name of the deleted dict-view class anywhere in ``src/`` or
   ``tests/``.
 """
@@ -29,8 +29,6 @@ PACKAGE = ROOT / "src" / "repro"
 def _choice_calls():
     for path in sorted(PACKAGE.rglob("*.py")):
         rel = path.relative_to(PACKAGE)
-        if rel.parts[0] == "perf" and rel.name.startswith("legacy"):
-            continue
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if (isinstance(node, ast.Call)
                     and isinstance(node.func, ast.Attribute)
@@ -54,9 +52,9 @@ def test_simulator_imports_leave_scipy_stats_out():
     assert proc.returncode == 0, proc.stderr
 
 
-#: Where a ``MetricsRegistry`` may be built: one per world in the kernel,
-#: the cross-process merge in the scale runner, and the perf harness.
-REGISTRY_HOMES = ("sim/kernel.py", "scale/runner.py", "perf/")
+#: Where a ``MetricsRegistry`` may be built: one per world in the kernel
+#: and the cross-process merge in the scale runner.
+REGISTRY_HOMES = ("sim/kernel.py", "scale/runner.py")
 #: Assembled so this file does not match its own search.
 DELETED_VIEW = "Stats" + "Dict"
 

@@ -2,9 +2,8 @@
 
 An option nobody sets doubles the configurations tests must cover and
 hides the value the experiments actually run with: it should be a named
-constant instead.  This test parses ``src/repro`` (minus ``perf/``, whose
-frozen copies and registry-called workloads are out of scope, and
-``analysis/``) and fails on any defaulted parameter that no call site in
+constant instead.  This test parses ``src/repro`` (minus ``analysis/``)
+and fails on any defaulted parameter that no call site in
 ``src/``, ``tests/``, ``benchmarks/``, ``examples/`` or ``perfbench/``
 passes — by keyword, by position, through ``super().__init__``, through
 ``functools.partial`` or through ``**kwargs`` forwarding — unless it is
@@ -23,7 +22,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "repro"
-SKIPPED = ("perf", "analysis")
+SKIPPED = ("analysis",)
 CALLER_ROOTS = ("src", "tests", "benchmarks", "examples", "perfbench")
 
 #: ``module.qualname:param`` -> why it may stay unset.
