@@ -4,11 +4,11 @@ The repo's claim to AISLE's quantified milestones rests on bit-identical
 same-seed simulation.  Reviewer vigilance does not scale to that
 contract; this package enforces it with tooling:
 
-- **Static half** (:mod:`repro.analysis.rules`,
-  :mod:`repro.analysis.contracts`): one analyzer that parses each file
-  once and runs two rule families over the cached facts — the per-file
-  determinism rules D001–D006 (module-global id factories, wall-clock
-  reads, process-global randomness, set-order iteration,
+- **Static half** (:mod:`repro.analysis.walk`, :mod:`repro.analysis.rules`,
+  :mod:`repro.analysis.contracts`): one analyzer that parses and walks
+  each file once and runs two rule families over the cached facts — the
+  per-file determinism rules D001–D006 (module-global id factories,
+  wall-clock reads, process-global randomness, set-order iteration,
   ``id()``/``hash()`` ordering keys, raw process fan-out) and the
   cross-module contract rules C001–C004.  Inline
   ``# detlint: ignore[...]`` pragmas suppress a finding, ``[tool.detlint]
@@ -28,10 +28,9 @@ contract; this package enforces it with tooling:
 from repro.analysis.audit import AuditFinding, RaceAuditor, WatchedRegistry
 from repro.analysis.contracts import (RULE_TABLE, Baseline, Finding, Report,
                                       analyze, load_exclude)
-from repro.analysis.rules import ALL_RULES, Violation
+from repro.analysis.rules import Violation
 
 __all__ = [
-    "ALL_RULES",
     "AuditFinding",
     "Baseline",
     "Finding",

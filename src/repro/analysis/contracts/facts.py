@@ -1,4 +1,5 @@
-"""Per-module fact extraction: the analyzer's one parse of each file.
+"""Per-module fact extraction over the analyzer's one parse and one
+:class:`~repro.analysis.walk.ModuleWalk` of each file.
 
 One :class:`ModuleFacts` is the complete, JSON-serializable summary of
 everything the rules need to know about one source file — the per-file
@@ -6,7 +7,7 @@ determinism rules (D001–D006) and the cross-module contract rules
 (C001–C004) alike:
 
 - **Determinism violations** — the raw D-rule hits
-  (:mod:`repro.analysis.rules`), run on the same tree.
+  (:mod:`repro.analysis.rules`).
 
 - **Topic sinks** — string literals (and f-string templates) flowing
   into ``bus.publish(...)``/``broker.route(...)`` on the publish side
@@ -60,15 +61,16 @@ import re
 from dataclasses import asdict, dataclass, field
 from typing import Any, Optional
 
-from repro.analysis.rules import (MUTATING_METHODS, ModuleContext,
-                                  Violation, call_terminal, check_module)
+from repro.analysis.rules import Violation, check
+from repro.analysis.walk import (DEFS, CallSite, ClassSite, Def, LoopSite,
+                                 ModuleWalk, call_terminal)
 
 __all__ = ["FACTS_VERSION", "ModuleFacts", "TopicFact", "MetricFact",
            "ResilienceFact", "ClassFact", "extract_facts", "parse_error_facts"]
 
 #: Bump whenever the extraction output changes shape or semantics — the
 #: incremental cache discards entries recorded under a different version.
-FACTS_VERSION = 5
+FACTS_VERSION = 6
 
 #: A formatted (non-literal) f-string segment: matches any one topic
 #: segment.  Kept as a string marker so facts stay JSON-round-trippable.
@@ -84,11 +86,6 @@ _PUBLISH_SINKS = (("publish", 2, "topic"), ("route", 0, "topic"))
 _SUBSCRIBE_SINKS = (("bind", 1, "pattern"), ("topic_matches", 0, "pattern"))
 
 _METRIC_SINKS = frozenset({"counter", "gauge", "histogram"})
-
-#: Accessors that consume a metric rather than emit to it:
-#: ``registry.gauge("x").value`` is a read site, ``.set()`` an emission.
-_METRIC_READS = frozenset({"value", "mean", "summary", "quantile",
-                           "percentiles"})
 
 _MERGE_PROTOCOL = frozenset({"merge_from", "state", "merge_state", "merge"})
 
@@ -257,82 +254,51 @@ def _template_segments(template: str) -> list[str]:
             for seg in template.split(".")]
 
 
-class _FunctionScope:
-    """Local single-assignment constants within one function body."""
-
-    def __init__(self, fn: ast.AST) -> None:
-        self.constants: dict[str, Optional[str]] = {}
-        for node in ast.walk(fn):
-            if isinstance(node, ast.Assign) and len(node.targets) == 1 \
-                    and isinstance(node.targets[0], ast.Name):
-                name = node.targets[0].id
-                template = _literal_template(node.value)
-                if name in self.constants:
-                    self.constants[name] = None   # reassigned: not constant
-                else:
-                    self.constants[name] = template
-
-    def lookup(self, name: str) -> Optional[str]:
-        return self.constants.get(name)
+def _single_assignment(node: ast.expr,
+                       fn: Optional[Def]) -> Optional[ast.expr]:
+    """The value of a local name the def assigns exactly once."""
+    if not isinstance(node, ast.Name) or fn is None:
+        return None
+    values = [value for name, value in fn.assigns if name == node.id]
+    return values[0] if len(values) == 1 else None
 
 
-def _literal_return_functions(module: ast.Module) -> dict[str, str]:
-    """Map of function names (bare and ``Class.name``) whose body returns
-    exactly one string literal/f-string — e.g. ``topic_for``."""
+def _literal_return_functions(walk: ModuleWalk) -> dict[str, str]:
+    """Names of the module's functions and top-level methods whose body
+    returns exactly one string literal/f-string — e.g. ``topic_for``."""
     out: dict[str, str] = {}
-
-    def harvest(fn: ast.AST, qualifier: str = "") -> None:
-        returns = [n for n in ast.walk(fn) if isinstance(n, ast.Return)]
-        if len(returns) != 1 or returns[0].value is None:
-            return
-        template = _literal_template(returns[0].value)
-        if template is None:
-            return
-        out[fn.name] = template
-        if qualifier:
-            out[f"{qualifier}.{fn.name}"] = template
-
-    for node in module.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            harvest(node)
-        elif isinstance(node, ast.ClassDef):
-            for sub in node.body:
-                if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    harvest(sub, node.name)
+    for stmt in walk.tree.body:
+        for fn in stmt.body if isinstance(stmt, ast.ClassDef) else [stmt]:
+            if not isinstance(fn, DEFS):
+                continue
+            returns = walk.defs[id(fn)].returns
+            if len(returns) == 1 and returns[0].value is not None:
+                template = _literal_template(returns[0].value)
+                if template is not None:
+                    out[fn.name] = template
     return out
 
 
-def _resolve_topic_arg(node: ast.expr, scope: Optional[_FunctionScope],
+def _resolve_topic_arg(node: ast.expr, fn: Optional[Def],
                        literal_fns: dict[str, str]) -> Optional[str]:
     """Best-effort template for a topic argument expression."""
     template = _literal_template(node)
     if template is not None:
         return template
-    if isinstance(node, ast.Name) and scope is not None:
-        return scope.lookup(node.id)
+    if isinstance(node, ast.Name):
+        value = _single_assignment(node, fn)
+        return None if value is None else _literal_template(value)
     if isinstance(node, ast.Call):
-        terminal = None
-        if isinstance(node.func, ast.Name):
-            terminal = node.func.id
-        elif isinstance(node.func, ast.Attribute):
-            terminal = node.func.attr
+        terminal = call_terminal(node)
         if terminal is not None and terminal in literal_fns:
             return literal_fns[terminal]
     return None
 
 
-def _resolve_dict_arg(node: ast.expr,
-                      scope: Optional[_FunctionScope],
-                      fn: Optional[ast.AST]) -> Optional[list[str]]:
+def _resolve_dict_arg(node: ast.expr, fn: Optional[Def]) -> Optional[list[str]]:
     """String keys of a dict-literal argument (directly or through one
     local single assignment)."""
-    if isinstance(node, ast.Name) and fn is not None:
-        assigns = [n for n in ast.walk(fn)
-                   if isinstance(n, ast.Assign) and len(n.targets) == 1
-                   and isinstance(n.targets[0], ast.Name)
-                   and n.targets[0].id == node.id]
-        if len(assigns) == 1:
-            node = assigns[0].value
+    node = _single_assignment(node, fn) or node
     if not isinstance(node, ast.Dict):
         return None
     keys = []
@@ -357,100 +323,39 @@ def _sink_arg(call: ast.Call, index: int, keyword: str) -> Optional[ast.expr]:
     return None
 
 
-def _handler_escapes(handler: ast.ExceptHandler) -> bool:
-    """Does the except handler leave the loop (raise/return/break)?"""
-    for node in ast.walk(handler):
-        if isinstance(node, (ast.Raise, ast.Return, ast.Break)):
-            return True
-    return False
+def _is_retry_loop(loop: LoopSite, walk: ModuleWalk) -> bool:
+    """A try in the loop swallows an exception (its handler neither
+    raises, returns nor breaks) and the loop goes round again: the
+    handler continues, or the loop is ``while True``."""
+    node = loop.node
+    while_true = isinstance(node, ast.While) \
+        and isinstance(node.test, ast.Constant) and node.test.value is True
+    return any(id(handler) not in walk.escaping
+               and (while_true or id(handler) in walk.continuing)
+               for handler in loop.handlers)
 
 
-def _handler_continues(handler: ast.ExceptHandler) -> bool:
-    return any(isinstance(node, ast.Continue) for node in ast.walk(handler))
-
-
-def _is_while_true(loop: ast.AST) -> bool:
-    return isinstance(loop, ast.While) \
-        and isinstance(loop.test, ast.Constant) and loop.test.value is True
-
-
-def _walk_no_functions(root: ast.AST, *, skip_loops: bool = False):
-    stack = list(ast.iter_child_nodes(root))
-    while stack:
-        node = stack.pop()
-        yield node
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.Lambda)):
+def _instantiations(sites: list[CallSite], skip: str = "") -> list[str]:
+    """Distinct callees that look like classes (capitalized), resolved
+    when imported, first occurrence first."""
+    seen = {skip}
+    out: list[str] = []
+    for site in sites:
+        terminal = call_terminal(site.node)
+        if terminal is None or not terminal[:1].isupper():
             continue
-        if skip_loops and isinstance(node, (ast.For, ast.While)):
-            continue
-        stack.extend(ast.iter_child_nodes(node))
-
-
-def _class_name_candidates(call: ast.Call,
-                           ctx: ModuleContext) -> Optional[str]:
-    """Resolved (or bare) name when a call looks like instantiation."""
-    resolved = ctx.resolve_call(call)
-    terminal = call_terminal(call)
-    if terminal is None or not terminal[:1].isupper():
-        return None
-    return resolved or terminal
-
-
-def _enclosing_functions(module: ast.Module) -> list[tuple[str, ast.AST]]:
-    """(qualname, node) for every def, methods qualified by class."""
-    out: list[tuple[str, ast.AST]] = []
-
-    def visit(node: ast.AST, prefix: str) -> None:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                qual = f"{prefix}.{child.name}" if prefix else child.name
-                out.append((qual, child))
-                visit(child, qual)
-            elif isinstance(child, ast.ClassDef):
-                visit(child, f"{prefix}.{child.name}" if prefix
-                      else child.name)
-            else:
-                visit(child, prefix)
-
-    visit(module, "")
+        cand = site.target or terminal
+        if cand not in seen:
+            seen.add(cand)
+            out.append(cand)
     return out
 
 
-def _self_mutations(fn: ast.AST) -> dict[str, int]:
-    """``self.<attr>`` container mutations inside one function body:
-    attr name -> first line."""
-    out: dict[str, int] = {}
-
-    def record(attr: str, line: int) -> None:
-        if attr not in out:
-            out[attr] = line
-
-    for node in ast.walk(fn):
-        if isinstance(node, ast.Call) and isinstance(node.func,
-                                                     ast.Attribute) \
-                and node.func.attr in MUTATING_METHODS:
-            target = node.func.value
-            if isinstance(target, ast.Attribute) \
-                    and isinstance(target.value, ast.Name) \
-                    and target.value.id == "self":
-                record(target.attr, node.lineno)
-        elif isinstance(node, (ast.Assign, ast.AugAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) \
-                else [node.target]
-            for tgt in targets:
-                if isinstance(tgt, ast.Subscript) \
-                        and isinstance(tgt.value, ast.Attribute) \
-                        and isinstance(tgt.value.value, ast.Name) \
-                        and tgt.value.value.id == "self":
-                    record(tgt.value.attr, node.lineno)
-    return out
-
-
-def _extract_class(node: ast.ClassDef, ctx: ModuleContext) -> ClassFact:
+def _extract_class(site: ClassSite, walk: ModuleWalk) -> ClassFact:
+    node = site.node
     fact = ClassFact(name=node.name, line=node.lineno, col=node.col_offset)
     for base in node.bases:
-        resolved = ctx.resolve(base)
+        resolved = walk.resolve(base)
         if resolved is not None:
             fact.bases.append(resolved)
         elif isinstance(base, ast.Name):
@@ -458,40 +363,17 @@ def _extract_class(node: ast.ClassDef, ctx: ModuleContext) -> ClassFact:
         elif isinstance(base, ast.Attribute):
             fact.bases.append(base.attr)
     mutated: dict[str, int] = {}
-    for sub in node.body:
-        if not isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
+    for name, mutations in site.methods:
+        fact.methods.append(name)
+        if name in ("__init__", "__new__"):
             continue
-        fact.methods.append(sub.name)
-        if sub.name in ("__init__", "__new__"):
-            continue
-        for attr, line in _self_mutations(sub).items():
-            if attr not in mutated:
-                mutated[attr] = line
+        for _, attr, line in sorted(mutations):
+            mutated.setdefault(attr, line)
     fact.mutated_attrs = sorted(mutated)
     fact.mutation_line = min(mutated.values()) if mutated else 0
     fact.has_merge = bool(_MERGE_PROTOCOL.intersection(fact.methods))
-    seen: set[str] = set()
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Call):
-            cand = _class_name_candidates(sub, ctx)
-            if cand is not None and cand != node.name and cand not in seen:
-                seen.add(cand)
-                fact.instantiates.append(cand)
+    fact.instantiates = _instantiations(site.calls, skip=node.name)
     return fact
-
-
-def _harvest_strings(module: ast.Module) -> tuple[dict[str, int], list[str]]:
-    strings: dict[str, int] = {}
-    load_subscripts: list[str] = []
-    for node in ast.walk(module):
-        if isinstance(node, ast.Constant) and isinstance(node.value, str):
-            strings[node.value] = strings.get(node.value, 0) + 1
-        elif isinstance(node, ast.Subscript) \
-                and isinstance(node.ctx, ast.Load) \
-                and isinstance(node.slice, ast.Constant) \
-                and isinstance(node.slice.value, str):
-            load_subscripts.append(node.slice.value)
-    return strings, load_subscripts
 
 
 def _harvest_pragmas(source: str) -> dict[str, list[str]]:
@@ -514,63 +396,21 @@ def _harvest_pragmas(source: str) -> dict[str, list[str]]:
     return pragmas
 
 
-def _harvest_stmt_spans(module: ast.Module) -> list[list[int]]:
-    spans: list[list[int]] = []
-    simple = (ast.Expr, ast.Assign, ast.AnnAssign, ast.AugAssign,
-              ast.Return, ast.Raise, ast.Assert, ast.Delete)
-    for node in ast.walk(module):
-        if isinstance(node, simple):
-            end = getattr(node, "end_lineno", None) or node.lineno
-            if end > node.lineno:
-                spans.append([node.lineno, end])
-    return spans
-
-
 def extract_facts(source: str, path: str, module: str) -> ModuleFacts:
-    """Parse one file and extract its :class:`ModuleFacts`.
+    """Parse one file, walk it once, and extract its :class:`ModuleFacts`.
 
     Raises ``SyntaxError`` on unparsable input — the project indexer
     converts that into :func:`parse_error_facts` so a broken file is a
     finding, not a crash.
     """
-    tree = ast.parse(source, filename=path)
-    ctx = ModuleContext(tree)
+    walk = ModuleWalk(ast.parse(source, filename=path))
     facts = ModuleFacts(path=path, module=module)
-    literal_fns = _literal_return_functions(tree)
-
-    functions = _enclosing_functions(tree)
-    scope_cache: dict[int, _FunctionScope] = {}
-    read_wrapped = {id(attr.value) for attr in ast.walk(tree)
-                    if isinstance(attr, ast.Attribute)
-                    and attr.attr in _METRIC_READS
-                    and isinstance(attr.value, ast.Call)}
-
-    def owner_of(node: ast.AST) -> tuple[str, Optional[ast.AST]]:
-        best: tuple[str, Optional[ast.AST]] = ("", None)
-        best_size = None
-        for qual, fn in functions:
-            end = getattr(fn, "end_lineno", fn.lineno)
-            if fn.lineno <= node.lineno <= end:
-                size = end - fn.lineno
-                if best_size is None or size < best_size:
-                    best, best_size = (qual, fn), size
-        return best
-
-    def scope_for(fn: Optional[ast.AST]) -> Optional[_FunctionScope]:
-        if fn is None:
-            return None
-        key = id(fn)
-        if key not in scope_cache:
-            scope_cache[key] = _FunctionScope(fn)
-        return scope_cache[key]
-
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
+    literal_fns = _literal_return_functions(walk)
+    for site in walk.calls:
+        node, qual = site.node, site.owner.qual if site.owner else ""
         terminal = call_terminal(node)
         if terminal is None:
             continue
-        qual, fn = owner_of(node)
 
         # -- topic sinks ---------------------------------------------------
         for sinks, bucket in ((_PUBLISH_SINKS, facts.publishes),
@@ -581,8 +421,7 @@ def extract_facts(source: str, path: str, module: str) -> ModuleFacts:
                 arg = _sink_arg(node, index, keyword)
                 if arg is None:
                     continue
-                template = _resolve_topic_arg(arg, scope_for(fn),
-                                              literal_fns)
+                template = _resolve_topic_arg(arg, site.owner, literal_fns)
                 if template is None:
                     # ``.publish``/``.bind`` are overloaded verbs across
                     # the codebase (mesh indexes publish dict entries),
@@ -617,7 +456,7 @@ def extract_facts(source: str, path: str, module: str) -> ModuleFacts:
                 facts.metrics.append(MetricFact(
                     kind=terminal, name=arg.value, line=node.lineno,
                     col=node.col_offset, func=qual,
-                    read=id(node) in read_wrapped))
+                    read=id(node) in walk.read_wrapped))
         elif terminal == "stats" and isinstance(node.func, ast.Attribute):
             prefix_arg = _sink_arg(node, 0, "prefix")
             initial_arg = _sink_arg(node, 1, "initial")
@@ -625,7 +464,7 @@ def extract_facts(source: str, path: str, module: str) -> ModuleFacts:
                                                      ast.Constant) \
                     and isinstance(prefix_arg.value, str) \
                     and initial_arg is not None:
-                keys = _resolve_dict_arg(initial_arg, scope_for(fn), fn)
+                keys = _resolve_dict_arg(initial_arg, site.owner)
                 for key in keys or ():
                     facts.metrics.append(MetricFact(
                         kind="stats", name=f"{prefix_arg.value}.{key}",
@@ -643,47 +482,21 @@ def extract_facts(source: str, path: str, module: str) -> ModuleFacts:
                 col=node.col_offset, func=qual, has_deadline=has_deadline))
 
     # -- retry loops -------------------------------------------------------
-    for node in ast.walk(tree):
-        if not isinstance(node, (ast.For, ast.While)):
-            continue
-        qual, _fn = owner_of(node)
-        # A try inside a nested loop belongs to the *innermost* loop —
-        # the outer loop would otherwise double-report the same pattern.
-        for sub in _walk_no_functions(node, skip_loops=True):
-            if not isinstance(sub, ast.Try):
-                continue
-            for handler in sub.handlers:
-                if _handler_escapes(handler):
-                    continue
-                if _handler_continues(handler) or _is_while_true(node):
-                    facts.resilience.append(ResilienceFact(
-                        kind="retry_loop", line=node.lineno,
-                        col=node.col_offset, func=qual))
-                    break
-            else:
-                continue
-            break
+    # A try inside a nested loop belongs to the *innermost* loop — the
+    # outer loop would otherwise double-report the same pattern.
+    facts.resilience.extend(
+        ResilienceFact(kind="retry_loop", line=loop.node.lineno,
+                       col=loop.node.col_offset, func=loop.qual)
+        for loop in walk.loops if _is_retry_loop(loop, walk))
 
     # -- classes and instantiations ----------------------------------------
-    class_spans: list[tuple[int, int]] = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ClassDef):
-            facts.classes.append(_extract_class(node, ctx))
-            class_spans.append((node.lineno,
-                                getattr(node, "end_lineno", node.lineno)))
-    seen_inst: set[str] = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Call):
-            if any(start <= node.lineno <= end
-                   for start, end in class_spans):
-                continue
-            cand = _class_name_candidates(node, ctx)
-            if cand is not None and cand not in seen_inst:
-                seen_inst.add(cand)
-                facts.instantiated.append(cand)
+    facts.classes = [_extract_class(site, walk) for site in walk.classes]
+    facts.instantiated = _instantiations(
+        [site for site in walk.calls if not site.in_class])
 
-    facts.strings, facts.load_subscripts = _harvest_strings(tree)
-    facts.violations = check_module(tree, ctx)
+    facts.strings = walk.strings
+    facts.load_subscripts = [key for _, key in walk.load_subscripts]
+    facts.violations = check(walk)
     facts.pragmas = _harvest_pragmas(source)
-    facts.stmt_spans = _harvest_stmt_spans(tree)
+    facts.stmt_spans = [span for _, span in walk.stmt_spans]
     return facts

@@ -31,6 +31,9 @@ BASELINE_VERSION = 1
 #: Default committed ratchet file, relative to the working directory.
 DEFAULT_BASELINE = "analysis_baseline.json"
 
+#: Indentation of every JSON document the analyzer writes.
+JSON_INDENT = 2
+
 
 @dataclass
 class Baseline:
@@ -77,7 +80,7 @@ class Baseline:
             "tool": "repro.analysis",
             "entries": [self.entries[fp] for fp in sorted(self.entries)],
         }
-        Path(path).write_text(json.dumps(payload, indent=2, sort_keys=False)
+        Path(path).write_text(json.dumps(payload, indent=JSON_INDENT, sort_keys=False)
                               + "\n", "utf-8")
 
     def unexplained(self) -> list[str]:
@@ -150,14 +153,14 @@ class Report:
             }
         return out
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=JSON_INDENT)
 
-    def to_sarif(self, indent: int = 2) -> str:
+    def to_sarif(self) -> str:
         return json.dumps(to_sarif(self.findings,
                                    new=set(f.fingerprint
                                            for f in self.new_findings)),
-                          indent=indent)
+                          indent=JSON_INDENT)
 
 
 def to_sarif(findings: Sequence[Finding],

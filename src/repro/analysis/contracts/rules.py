@@ -41,7 +41,6 @@ from typing import Optional
 from repro.analysis.contracts.facts import (ANY_SEGMENT, ModuleFacts,
                                             TopicFact)
 from repro.analysis.contracts.project import ProjectIndex
-from repro.analysis.rules import ALL_RULES
 from repro.comm.bus import topic_matches
 
 __all__ = ["Finding", "RULE_TABLE", "PARSE_ERROR_CODE", "run_rules",
@@ -59,7 +58,21 @@ RULE_TABLE: dict[str, tuple[str, str]] = {
         "unparsable file",
         "fix the syntax error; an unparsable file is invisible to every "
         "other rule"),
-    **{rule.code: (rule.title, rule.hint) for rule in ALL_RULES},
+    "D001": ("module-level mutable state used as an id/sequence factory",
+             "allocate from the world's IdSequencer (sim.ids / "
+             "repro.sim.ids) or move the state onto an instance"),
+    "D002": ("wall-clock access inside simulation code",
+             "read sim.now (simulated seconds) instead of the host clock"),
+    "D003": ("unseeded randomness bypassing sim.rng.RngRegistry",
+             "draw from RngRegistry.stream(name) or an explicitly seeded "
+             "np.random.default_rng(seed)"),
+    "D004": ("iteration over a set (order is not deterministic)",
+             "iterate sorted(the_set) or use a list/dict keyed structure"),
+    "D005": ("id()/hash() used as an ordering key",
+             "tie-break on an explicit per-world sequence number (sim.ids)"),
+    "D006": ("process fan-out bypassing repro.scale.WorldRunner",
+             "fan seeded worlds out through repro.scale.WorldRunner (the "
+             "audited, hash-verified pool call site)"),
     "C001": ("publish/subscribe topic mismatch",
              "bind a queue whose pattern matches the published topic (or "
              "delete the dead publish / unmatched binding)"),

@@ -1,11 +1,12 @@
 """The determinism rule set: AST checks for determinism hazards (D001–D006).
 
-Each rule is a small class with a stable code, a one-line title, and a
-fix hint.  Rules receive a parsed module plus a :class:`ModuleContext`
-(import-alias resolution) and yield :class:`Violation` objects.  The
-fact pass (:func:`repro.analysis.contracts.facts.extract_facts`) runs
-them on the tree it has already parsed and caches the violations; the
-project rules turn them into findings, apply pragmas, and report.
+Each rule is a function over one :class:`~repro.analysis.walk.ModuleWalk`
+(the single traversal the fact pass makes of each parsed file) that
+yields :class:`Violation` objects; :func:`check` runs them all.  The fact
+pass (:func:`repro.analysis.contracts.facts.extract_facts`) caches the
+violations; the project rules turn them into findings, apply pragmas,
+and report.  The rules' titles and fix hints live in
+:data:`repro.analysis.contracts.rules.RULE_TABLE`.
 
 The rules are deliberately *syntactic*: no type inference, no cross-file
 analysis.  That keeps them fast, dependency-free (stdlib ``ast`` only),
@@ -32,7 +33,9 @@ import ast
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-__all__ = ["Violation", "Rule", "ModuleContext", "ALL_RULES", "check_module"]
+from repro.analysis.walk import ModuleWalk, Order, call_terminal
+
+__all__ = ["Violation", "check"]
 
 
 @dataclass(frozen=True)
@@ -45,75 +48,12 @@ class Violation:
     message: str
 
 
-# -- import resolution ---------------------------------------------------------
+def _hit(code: str, node: ast.AST, message: str) -> Violation:
+    return Violation(code=code, line=node.lineno, col=node.col_offset,
+                     message=message)
 
 
-class ModuleContext:
-    """Per-module import table used to resolve dotted call targets.
-
-    Maps local names back to canonical module paths so that
-    ``import numpy as np; np.random.rand()`` resolves to
-    ``numpy.random.rand`` and ``from itertools import count as c; c()``
-    resolves to ``itertools.count``.
-    """
-
-    def __init__(self, module: ast.Module) -> None:
-        self.module_aliases: dict[str, str] = {}
-        self.from_imports: dict[str, str] = {}
-        for node in ast.walk(module):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    self.module_aliases[alias.asname or
-                                        alias.name.split(".")[0]] = alias.name
-            elif isinstance(node, ast.ImportFrom) and node.module \
-                    and node.level == 0:
-                for alias in node.names:
-                    self.from_imports[alias.asname or alias.name] = \
-                        f"{node.module}.{alias.name}"
-
-    def resolve(self, node: ast.AST) -> Optional[str]:
-        """Canonical dotted path of a Name/Attribute chain, if it is
-        rooted in an import; ``None`` for local/attribute expressions."""
-        parts: list[str] = []
-        while isinstance(node, ast.Attribute):
-            parts.append(node.attr)
-            node = node.value
-        if not isinstance(node, ast.Name):
-            return None
-        root = node.id
-        parts.reverse()
-        if root in self.module_aliases:
-            return ".".join([self.module_aliases[root], *parts])
-        if root in self.from_imports:
-            return ".".join([self.from_imports[root], *parts])
-        return None
-
-    def resolve_call(self, call: ast.Call) -> Optional[str]:
-        return self.resolve(call.func)
-
-
-class Rule:
-    """Base class: subclasses set the metadata and implement check()."""
-
-    code: str = ""
-    title: str = ""
-    hint: str = ""
-
-    def check(self, module: ast.Module,
-              ctx: ModuleContext) -> Iterator[Violation]:  # pragma: no cover
-        raise NotImplementedError
-
-    def violation(self, node: ast.AST, message: str) -> Violation:
-        return Violation(code=self.code, line=node.lineno,
-                         col=node.col_offset, message=message)
-
-
-# -- helpers -------------------------------------------------------------------
-
-MUTATING_METHODS = frozenset({
-    "append", "appendleft", "add", "update", "setdefault", "pop", "popitem",
-    "insert", "extend", "extendleft", "remove", "discard", "clear",
-})
+# -- D001 ----------------------------------------------------------------------
 
 _MUTABLE_CONSTRUCTORS = frozenset({
     "dict", "list", "set", "collections.defaultdict", "collections.deque",
@@ -137,85 +77,24 @@ def _module_body_assigns(module: ast.Module) -> Iterator[
             yield stmt.target.id, stmt, stmt.value
 
 
-def _is_mutable_literal(value: ast.expr, ctx: ModuleContext) -> bool:
+def _is_mutable_literal(value: ast.expr, walk: ModuleWalk) -> bool:
     if isinstance(value, (ast.Dict, ast.List, ast.Set, ast.ListComp,
                           ast.SetComp, ast.DictComp)):
         return True
     if isinstance(value, ast.Call) and not value.args and not value.keywords:
-        name = ctx.resolve_call(value)
+        name = walk.resolve(value.func)
         if name is None and isinstance(value.func, ast.Name):
             name = value.func.id
         return name in _MUTABLE_CONSTRUCTORS
     return False
 
 
-def call_terminal(call: ast.Call) -> Optional[str]:
-    """The terminal identifier of a call's callee (``pkg.Foo()`` -> Foo)."""
-    if isinstance(call.func, ast.Attribute):
-        return call.func.attr
-    if isinstance(call.func, ast.Name):
-        return call.func.id
-    return None
+def _first_line(hits: list[tuple[Order, Order, int]]) -> Optional[int]:
+    """Line of the first hit: outermost function first, then tree order."""
+    return min(hits)[2] if hits else None
 
 
-def _functions(module: ast.Module) -> Iterator[ast.AST]:
-    for node in ast.walk(module):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.Lambda)):
-            yield node
-
-
-def _name_mutations(module: ast.Module, name: str) -> Iterator[ast.AST]:
-    """Statements inside function bodies that mutate module global ``name``
-    in place (subscript stores, aug-assigns, mutating method calls)."""
-    for fn in _functions(module):
-        for node in ast.walk(fn):
-            if isinstance(node, (ast.Assign, ast.AugAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) \
-                    else [node.target]
-                for tgt in targets:
-                    if isinstance(tgt, ast.Subscript) \
-                            and isinstance(tgt.value, ast.Name) \
-                            and tgt.value.id == name:
-                        yield node
-            elif isinstance(node, ast.Delete):
-                for tgt in node.targets:
-                    if isinstance(tgt, ast.Subscript) \
-                            and isinstance(tgt.value, ast.Name) \
-                            and tgt.value.id == name:
-                        yield node
-            elif isinstance(node, ast.Call) \
-                    and isinstance(node.func, ast.Attribute) \
-                    and node.func.attr in MUTATING_METHODS \
-                    and isinstance(node.func.value, ast.Name) \
-                    and node.func.value.id == name:
-                yield node
-
-
-def _global_rebinds(module: ast.Module, name: str) -> Iterator[ast.AST]:
-    """Functions that declare ``global name`` and rebind it."""
-    for fn in _functions(module):
-        if isinstance(fn, ast.Lambda):
-            continue
-        declares = any(isinstance(n, ast.Global) and name in n.names
-                       for n in ast.walk(fn))
-        if not declares:
-            continue
-        for node in ast.walk(fn):
-            if isinstance(node, ast.AugAssign) \
-                    and isinstance(node.target, ast.Name) \
-                    and node.target.id == name:
-                yield node
-            elif isinstance(node, ast.Assign) and any(
-                    isinstance(t, ast.Name) and t.id == name
-                    for t in node.targets):
-                yield node
-
-
-# -- D001 ----------------------------------------------------------------------
-
-
-class ModuleStateFactory(Rule):
+def module_state_factory(walk: ModuleWalk) -> Iterator[Violation]:
     """D001: module-level mutable state used as an id/sequence factory.
 
     Three shapes are recognised:
@@ -229,47 +108,38 @@ class ModuleStateFactory(Rule):
     instead of the owning world, so two same-seed worlds in one process
     diverge.
     """
-
-    code = "D001"
-    title = "module-level mutable state used as an id/sequence factory"
-    hint = ("allocate from the world's IdSequencer (sim.ids / "
-            "repro.sim.ids) or move the state onto an instance")
-
-    def check(self, module: ast.Module,
-              ctx: ModuleContext) -> Iterator[Violation]:
-        for name, stmt, value in _module_body_assigns(module):
-            if isinstance(value, ast.Call):
-                resolved = ctx.resolve_call(value)
-                if resolved == "itertools.count":
-                    yield self.violation(
-                        stmt, f"module-level itertools.count bound to "
-                              f"{name!r}: ids become process-ordered, not "
-                              f"world-ordered")
-                    continue
-                terminal = call_terminal(value)
-                if terminal and any(f in terminal.lower()
-                                    for f in _COUNTERISH_FRAGMENTS) \
-                        and not _is_mutable_literal(value, ctx):
-                    yield self.violation(
-                        stmt, f"module-level sequence factory "
-                              f"{terminal}() bound to {name!r}")
-                    continue
-            if isinstance(value, ast.Constant) and isinstance(value.value,
-                                                              int) \
-                    and not isinstance(value.value, bool):
-                rebind = next(iter(_global_rebinds(module, name)), None)
-                if rebind is not None:
-                    yield self.violation(
-                        stmt, f"module-level bare counter {name!r} rebound "
-                              f"via 'global' at line {rebind.lineno}")
+    for name, stmt, value in _module_body_assigns(walk.tree):
+        if isinstance(value, ast.Call):
+            if walk.resolve(value.func) == "itertools.count":
+                yield _hit("D001", stmt,
+                           f"module-level itertools.count bound to "
+                           f"{name!r}: ids become process-ordered, not "
+                           f"world-ordered")
                 continue
-            if _is_mutable_literal(value, ctx):
-                mutation = next(iter(_name_mutations(module, name)), None)
-                if mutation is not None:
-                    yield self.violation(
-                        stmt, f"module-level mutable {name!r} mutated at "
-                              f"runtime (e.g. line {mutation.lineno}): "
-                              f"shared across worlds in one process")
+            terminal = call_terminal(value)
+            if terminal and any(f in terminal.lower()
+                                for f in _COUNTERISH_FRAGMENTS) \
+                    and not _is_mutable_literal(value, walk):
+                yield _hit("D001", stmt,
+                           f"module-level sequence factory {terminal}() "
+                           f"bound to {name!r}")
+                continue
+        if isinstance(value, ast.Constant) and isinstance(value.value, int) \
+                and not isinstance(value.value, bool):
+            line = _first_line([hit for hit in walk.rebinds.get(name, ())
+                                if (hit[0], name) in walk.globals])
+            if line is not None:
+                yield _hit("D001", stmt,
+                           f"module-level bare counter {name!r} rebound "
+                           f"via 'global' at line {line}")
+            continue
+        if _is_mutable_literal(value, walk):
+            line = _first_line(walk.mutations.get(name, []))
+            if line is not None:
+                yield _hit("D001", stmt,
+                           f"module-level mutable {name!r} mutated at "
+                           f"runtime (e.g. line {line}): shared across "
+                           f"worlds in one process")
 
 
 # -- D002 ----------------------------------------------------------------------
@@ -282,81 +152,85 @@ _WALL_CLOCK_CALLS = frozenset({
 })
 
 
-class WallClockAccess(Rule):
+def wall_clock_access(walk: ModuleWalk) -> Iterator[Violation]:
     """D002: wall-clock reads inside sim code.
 
     Simulated components must read :attr:`Simulator.now`; wall-clock time
     differs between runs by construction and poisons every downstream
     artifact (traces, ids, timeouts).
     """
-
-    code = "D002"
-    title = "wall-clock access inside simulation code"
-    hint = "read sim.now (simulated seconds) instead of the host clock"
-
-    def check(self, module: ast.Module,
-              ctx: ModuleContext) -> Iterator[Violation]:
-        for node in ast.walk(module):
-            if isinstance(node, ast.Call):
-                resolved = ctx.resolve_call(node)
-                if resolved in _WALL_CLOCK_CALLS:
-                    yield self.violation(
-                        node, f"wall-clock call {resolved}() is "
-                              f"nondeterministic across runs")
+    for site in walk.calls:
+        if site.target in _WALL_CLOCK_CALLS:
+            yield _hit("D002", site.node,
+                       f"wall-clock call {site.target}() is "
+                       f"nondeterministic across runs")
 
 
 # -- D003 ----------------------------------------------------------------------
 
 _NUMPY_RANDOM_ALLOWED = frozenset({
-    "numpy.random.default_rng", "numpy.random.Generator",
-    "numpy.random.SeedSequence", "numpy.random.PCG64",
-    "numpy.random.Philox", "numpy.random.BitGenerator",
+    "numpy.random.Generator", "numpy.random.BitGenerator",
 })
 
+#: Constructors that are deterministic only when given a seed.
+_NUMPY_SEEDED = frozenset({
+    "numpy.random.default_rng", "numpy.random.SeedSequence",
+    "numpy.random.PCG64", "numpy.random.Philox",
+})
 
-class UnseededRandomness(Rule):
+#: Keywords that carry the seed (``Philox(key=...)`` seeds through key);
+#: ``None`` stands for a ``**mapping`` that may carry one.
+_SEED_KEYWORDS = (None, "seed", "entropy", "key")
+
+
+def _unseeded(call: ast.Call) -> bool:
+    """No seed argument, or only literal ``None`` ones."""
+    seeds = [*call.args[:1], *(kw.value for kw in call.keywords
+                               if kw.arg in _SEED_KEYWORDS)]
+    return all(isinstance(s, ast.Constant) and s.value is None
+               for s in seeds)
+
+
+def unseeded_randomness(walk: ModuleWalk) -> Iterator[Violation]:
     """D003: randomness drawn from process-global RNG state.
 
     ``random.*`` and ``numpy.random.<fn>`` (module-level legacy API) share
     one hidden global generator per process; two same-seed worlds
-    interleave their draws.  Named streams from
-    :class:`repro.sim.rng.RngRegistry` — or an explicitly seeded
-    ``numpy.random.default_rng(seed)`` — are the sanctioned sources.
+    interleave their draws.  A numpy generator or seed sequence built
+    without a seed draws fresh OS entropy, so no two runs agree.  Named
+    streams from :class:`repro.sim.rng.RngRegistry` — or an explicitly
+    seeded ``numpy.random.default_rng(seed)`` — are the sanctioned
+    sources.
     """
-
-    code = "D003"
-    title = "unseeded randomness bypassing sim.rng.RngRegistry"
-    hint = ("draw from RngRegistry.stream(name) or an explicitly seeded "
-            "np.random.default_rng(seed)")
-
-    def check(self, module: ast.Module,
-              ctx: ModuleContext) -> Iterator[Violation]:
-        for node in ast.walk(module):
-            if not isinstance(node, ast.Call):
-                continue
-            resolved = ctx.resolve_call(node)
-            if resolved is None:
-                continue
-            if resolved.startswith("random."):
-                yield self.violation(
-                    node, f"{resolved}() draws from the process-global "
-                          f"stdlib RNG")
-            elif resolved.startswith("numpy.random.") \
-                    and resolved not in _NUMPY_RANDOM_ALLOWED:
-                yield self.violation(
-                    node, f"{resolved}() uses numpy's process-global "
-                          f"legacy RNG")
+    for site in walk.calls:
+        resolved = site.target
+        if resolved is None:
+            continue
+        if resolved.startswith("random."):
+            yield _hit("D003", site.node,
+                       f"{resolved}() draws from the process-global "
+                       f"stdlib RNG")
+        elif resolved in _NUMPY_SEEDED:
+            if _unseeded(site.node):
+                yield _hit("D003", site.node,
+                           f"{resolved}() without a seed draws fresh OS "
+                           f"entropy")
+        elif resolved.startswith("numpy.random.") \
+                and resolved not in _NUMPY_RANDOM_ALLOWED:
+            yield _hit("D003", site.node,
+                       f"{resolved}() uses numpy's process-global "
+                       f"legacy RNG")
 
 
 # -- D004 ----------------------------------------------------------------------
 
 
-def _is_set_expr(node: ast.expr, ctx: ModuleContext,
-                 set_names: frozenset[str]) -> bool:
+def _is_set_expr(node: ast.expr, walk: ModuleWalk,
+                 set_names: set[str]) -> bool:
     if isinstance(node, (ast.Set, ast.SetComp)):
         return True
     if isinstance(node, ast.Call):
-        name = ctx.resolve_call(node)
+        name = walk.resolve(node.func)
         if name is None and isinstance(node.func, ast.Name):
             name = node.func.id
         return name in ("set", "frozenset")
@@ -366,74 +240,36 @@ def _is_set_expr(node: ast.expr, ctx: ModuleContext,
                                                             ast.BitAnd,
                                                             ast.Sub)):
         # a | b etc. where either side is provably a set
-        return _is_set_expr(node.left, ctx, set_names) \
-            or _is_set_expr(node.right, ctx, set_names)
+        return _is_set_expr(node.left, walk, set_names) \
+            or _is_set_expr(node.right, walk, set_names)
     return False
 
 
-def _walk_scope(scope: ast.AST) -> Iterator[ast.AST]:
-    """Walk ``scope`` without descending into nested function scopes
-    (those are analysed as scopes of their own)."""
-    stack = list(ast.iter_child_nodes(scope))
-    while stack:
-        node = stack.pop()
-        yield node
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.Lambda)):
-            stack.extend(ast.iter_child_nodes(node))
-
-
-def _scope_set_names(scope: ast.AST, ctx: ModuleContext) -> frozenset[str]:
-    """Names syntactically bound to set expressions within ``scope``
-    (last-write-wins is ignored — any set binding taints the name)."""
-    names: set[str] = set()
-    for node in _walk_scope(scope):
-        if isinstance(node, ast.Assign):
-            if _is_set_expr(node.value, ctx, frozenset(names)):
-                for tgt in node.targets:
-                    if isinstance(tgt, ast.Name):
-                        names.add(tgt.id)
-    return frozenset(names)
-
-
-class SetOrderIteration(Rule):
+def set_order_iteration(walk: ModuleWalk) -> Iterator[Violation]:
     """D004: iterating a ``set`` — order is hash-seed/process dependent.
 
     Set iteration order is not part of the determinism contract; when it
     feeds scheduling, message emission, or any serialized artifact it
     silently couples behaviour to ``PYTHONHASHSEED`` and allocation
     history.  Sort first (``sorted(s)``) or keep an ordered container.
+
+    A name bound to a set expression anywhere in a scope is a set
+    throughout it.  Bindings are read in reverse source order, so
+    ``b = a`` taints ``b`` only when a set binding of ``a`` comes later.
     """
-
-    code = "D004"
-    title = "iteration over a set (order is not deterministic)"
-    hint = "iterate sorted(the_set) or use a list/dict keyed structure"
-
-    def check(self, module: ast.Module,
-              ctx: ModuleContext) -> Iterator[Violation]:
-        scopes: list[ast.AST] = [module]
-        scopes.extend(fn for fn in _functions(module)
-                      if not isinstance(fn, ast.Lambda))
-        seen: set[tuple[int, int]] = set()
-        for scope in scopes:
-            set_names = _scope_set_names(scope, ctx)
-            for node in _walk_scope(scope):
-                if isinstance(node, (ast.For, ast.AsyncFor)):
-                    iters = [node.iter]
-                elif isinstance(node, (ast.ListComp, ast.SetComp,
-                                       ast.DictComp, ast.GeneratorExp)):
-                    iters = [gen.iter for gen in node.generators]
-                else:
-                    continue
-                for it in iters:
-                    if _is_set_expr(it, ctx, set_names):
-                        key = (it.lineno, it.col_offset)
-                        if key in seen:
-                            continue
-                        seen.add(key)
-                        yield self.violation(
-                            it, "iteration order over a set is "
-                                "nondeterministic")
+    seen: set[tuple[int, int]] = set()
+    for scope in walk.scopes:
+        set_names: set[str] = set()
+        for node in reversed(scope.assigns):
+            if _is_set_expr(node.value, walk, set_names):
+                set_names.update(tgt.id for tgt in node.targets
+                                 if isinstance(tgt, ast.Name))
+        for it in scope.iters:
+            key = (it.lineno, it.col_offset)
+            if key not in seen and _is_set_expr(it, walk, set_names):
+                seen.add(key)
+                yield _hit("D004", it,
+                           "iteration order over a set is nondeterministic")
 
 
 # -- D005 ----------------------------------------------------------------------
@@ -441,15 +277,7 @@ class SetOrderIteration(Rule):
 _ORDERING_CALLS = frozenset({"sorted", "min", "max"})
 
 
-def _contains_identity_call(node: ast.AST) -> Optional[str]:
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name) \
-                and sub.func.id in ("id", "hash"):
-            return sub.func.id
-    return None
-
-
-class ObjectIdentityOrdering(Rule):
+def identity_ordering(walk: ModuleWalk) -> Iterator[Violation]:
     """D005: ``id()``/``hash()`` of an object used as an ordering key.
 
     ``id()`` is an address — different every run; ``hash()`` of most
@@ -457,37 +285,25 @@ class ObjectIdentityOrdering(Rule):
     tie-break key makes ordering a function of the allocator, not the
     world.  Use an explicit sequence number (``sim.ids``) instead.
     """
-
-    code = "D005"
-    title = "id()/hash() used as an ordering key"
-    hint = "tie-break on an explicit per-world sequence number (sim.ids)"
-
-    def check(self, module: ast.Module,
-              ctx: ModuleContext) -> Iterator[Violation]:
-        for node in ast.walk(module):
-            if not isinstance(node, ast.Call):
+    for site in walk.calls:
+        func = site.node.func
+        if not ((isinstance(func, ast.Name) and func.id in _ORDERING_CALLS)
+                or (isinstance(func, ast.Attribute) and func.attr == "sort")):
+            continue
+        for kw in site.node.keywords:
+            if kw.arg != "key":
                 continue
-            is_ordering = (
-                (isinstance(node.func, ast.Name)
-                 and node.func.id in _ORDERING_CALLS)
-                or (isinstance(node.func, ast.Attribute)
-                    and node.func.attr == "sort"))
-            if not is_ordering:
-                continue
-            for kw in node.keywords:
-                if kw.arg != "key":
-                    continue
-                if isinstance(kw.value, ast.Name) \
-                        and kw.value.id in ("id", "hash"):
-                    yield self.violation(
-                        node, f"ordering key is builtin {kw.value.id} — "
-                              f"address-dependent")
-                elif isinstance(kw.value, ast.Lambda):
-                    ident = _contains_identity_call(kw.value.body)
-                    if ident is not None:
-                        yield self.violation(
-                            node, f"ordering key calls {ident}() — "
-                                  f"address-dependent")
+            if isinstance(kw.value, ast.Name) \
+                    and kw.value.id in ("id", "hash"):
+                yield _hit("D005", site.node,
+                           f"ordering key is builtin {kw.value.id} — "
+                           f"address-dependent")
+            elif isinstance(kw.value, ast.Lambda):
+                calls = walk.identity_calls[id(kw.value)]
+                if calls:
+                    yield _hit("D005", site.node,
+                               f"ordering key calls {min(calls)[1]}() — "
+                               f"address-dependent")
 
 
 # -- D006 ----------------------------------------------------------------------
@@ -504,7 +320,7 @@ _PROCESS_SPAWN_CALLS = frozenset({
 })
 
 
-class UnsanctionedProcessFanout(Rule):
+def process_fanout(walk: ModuleWalk) -> Iterator[Violation]:
     """D006: process-pool primitives outside :class:`WorldRunner`.
 
     A raw pool reintroduces everything the determinism contract forbids:
@@ -515,52 +331,32 @@ class UnsanctionedProcessFanout(Rule):
     equivalence stays checkable.  Its own pool lines carry the pragma;
     everywhere else the import or call is a finding.
     """
-
-    code = "D006"
-    title = "process fan-out bypassing repro.scale.WorldRunner"
-    hint = ("fan seeded worlds out through repro.scale.WorldRunner (the "
-            "audited, hash-verified pool call site)")
-
-    def check(self, module: ast.Module,
-              ctx: ModuleContext) -> Iterator[Violation]:
-        for node in ast.walk(module):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    if alias.name.split(".")[0] == "multiprocessing":
-                        yield self.violation(
-                            node, f"import of {alias.name!r}: spawn "
-                                  f"processes via repro.scale.WorldRunner")
-            elif isinstance(node, ast.ImportFrom) and node.module \
-                    and node.level == 0 \
-                    and node.module.split(".")[0] == "multiprocessing":
-                yield self.violation(
-                    node, f"import from {node.module!r}: spawn processes "
-                          f"via repro.scale.WorldRunner")
-            elif isinstance(node, ast.Call):
-                resolved = ctx.resolve_call(node)
-                if resolved in _PROCESS_SPAWN_CALLS:
-                    yield self.violation(
-                        node, f"{resolved}() spawns worker processes "
-                              f"outside the sanctioned WorldRunner")
+    for _, node in walk.imports:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "multiprocessing":
+                    yield _hit("D006", node,
+                               f"import of {alias.name!r}: spawn processes "
+                               f"via repro.scale.WorldRunner")
+        elif node.module and node.level == 0 \
+                and node.module.split(".")[0] == "multiprocessing":
+            yield _hit("D006", node,
+                       f"import from {node.module!r}: spawn processes via "
+                       f"repro.scale.WorldRunner")
+    for site in walk.calls:
+        if site.target in _PROCESS_SPAWN_CALLS:
+            yield _hit("D006", site.node,
+                       f"{site.target}() spawns worker processes outside "
+                       f"the sanctioned WorldRunner")
 
 
-ALL_RULES: tuple[Rule, ...] = (
-    ModuleStateFactory(),
-    WallClockAccess(),
-    UnseededRandomness(),
-    SetOrderIteration(),
-    ObjectIdentityOrdering(),
-    UnsanctionedProcessFanout(),
-)
+_RULES = (module_state_factory, wall_clock_access, unseeded_randomness,
+          set_order_iteration, identity_ordering, process_fanout)
 
 
-def check_module(module: ast.Module,
-                 ctx: Optional[ModuleContext] = None) -> list[Violation]:
-    """Run every rule over one parsed module; violations in (line, col,
+def check(walk: ModuleWalk) -> list[Violation]:
+    """Every D-rule over one walked module; violations in (line, col,
     code) order."""
-    ctx = ctx or ModuleContext(module)
-    out: list[Violation] = []
-    for rule in ALL_RULES:
-        out.extend(rule.check(module, ctx))
+    out = [v for rule in _RULES for v in rule(walk)]
     out.sort(key=lambda v: (v.line, v.col, v.code))
     return out

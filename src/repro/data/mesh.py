@@ -172,6 +172,8 @@ class DiscoveryIndex:
         else:
             self.stats["index_hits"] += 1
             pool = candidates
+        if not residual and predicate is None:
+            return [self._entries[record_id] for record_id in sorted(pool)]
         out = []
         for record_id in sorted(pool):
             entry = self._entries[record_id]

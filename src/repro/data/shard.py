@@ -28,6 +28,7 @@ so sharding preserves it untouched.
 from __future__ import annotations
 
 import zlib
+from operator import itemgetter
 from typing import Any, Callable, Optional
 
 from repro.data.mesh import DiscoveryIndex
@@ -129,7 +130,7 @@ class ShardedDiscoveryIndex:
         out: list[dict[str, Any]] = []
         for shard in self.shards:
             out.extend(shard.query(predicate=predicate, **equals))
-        return sorted(out, key=lambda e: e["record_id"])
+        return sorted(out, key=itemgetter("record_id"))
 
     # -- shard fan-in ------------------------------------------------------
 

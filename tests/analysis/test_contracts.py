@@ -63,6 +63,66 @@ def test_metric_read_accessor_marks_fact_as_read():
     assert reads == [4] and emits == [2]
 
 
+ATTRIBUTION_SRC = '''\
+import time
+
+
+def outer(bus, registry):
+    @hook(registry.counter("deco.total"), time.time())
+    def inner(topic=bus.publish("main", "s", "default.topic", time.time())):
+        bus.publish("main", "s", "inner.topic", time.time())
+        for _ in range(3):
+            try:
+                registry.gauge("inner.level")
+            except OSError:
+                continue
+    handler = lambda: bus.publish("main", "s", "lambda.topic", time.time())
+    return inner, handler
+
+
+class Outer:
+    level = registry.histogram("class.latency", time.time())
+    for attempt in range(2):
+        try:
+            break
+        except OSError:
+            continue
+
+    class Inner:
+        def method(self, bus):
+            while True:
+                try:
+                    bus.publish("main", "s", "method.topic", time.time())
+                except OSError:
+                    pass
+'''
+
+
+def test_facts_attribute_each_site_to_its_enclosing_def():
+    # A decorator belongs to the enclosing def, a default argument to
+    # the def it parameterizes, a lambda body to the def around it, and
+    # a class body to no def at all.
+    facts = extract_facts(ATTRIBUTION_SRC, "m.py", "m")
+    assert {t.topic: t.func for t in facts.publishes} == {
+        "default.topic": "outer.inner",
+        "inner.topic": "outer.inner",
+        "lambda.topic": "outer",
+        "method.topic": "Outer.Inner.method",
+    }
+    assert {m.name: m.func for m in facts.metrics} == {
+        "deco.total": "outer",
+        "inner.level": "outer.inner",
+        "class.latency": "",
+    }
+    assert [(r.kind, r.line, r.func) for r in facts.resilience] == [
+        ("retry_loop", 19, ""),
+        ("retry_loop", 8, "outer.inner"),
+        ("retry_loop", 27, "Outer.Inner.method"),
+    ]
+    assert [(v.code, v.line) for v in facts.violations] == [
+        ("D002", line) for line in (5, 6, 7, 13, 18, 29)]
+
+
 # -- the seeded fixture tree --------------------------------------------------
 
 def test_fixture_tree_seeds_every_rule():
@@ -115,6 +175,27 @@ def test_cold_run_parses_each_file_once(monkeypatch):
     findings = run_rules(index)
     assert len(parsed) == len(set(parsed)) == index.files_scanned > 0
     assert findings
+
+
+def test_fact_pass_walks_each_node_once(monkeypatch):
+    # Facts and D-rules alike read one traversal: the fact pass expands
+    # as many nodes as the tree has, whatever rules look at them.  (The
+    # parser shares ``Load``/``Store`` and operator leaves between
+    # positions, so positions are counted, not node ids.)
+    source = (REPO_ROOT / "src" / "repro" / "data" / "mesh.py").read_text()
+    n_nodes = sum(1 for _ in ast.walk(ast.parse(source)))
+    expanded = []
+    real_iter_child_nodes = ast.iter_child_nodes
+
+    def counting(node):
+        expanded.append(node)
+        return real_iter_child_nodes(node)
+
+    monkeypatch.setattr(ast, "iter_child_nodes", counting)
+    facts = extract_facts(source, "src/repro/data/mesh.py",
+                          "repro.data.mesh")
+    assert facts.classes and facts.strings
+    assert len(expanded) == n_nodes
 
 
 # -- pragma suppression -------------------------------------------------------

@@ -139,6 +139,34 @@ def test_d003_default_rng_allowed():
     assert codes(src) == []
 
 
+@pytest.mark.parametrize("call", [
+    "np.random.default_rng()",
+    "default_rng(None)",
+    "np.random.default_rng(seed=None)",
+    "np.random.SeedSequence()",
+    "np.random.PCG64(None)",
+    "np.random.Philox()",
+])
+def test_d003_unseeded_constructor_flagged(call):
+    # With no seed (or a literal None) these draw fresh OS entropy.
+    src = ("import numpy as np\n"
+           "from numpy.random import default_rng\n"
+           f"def f():\n    return {call}\n")
+    assert codes(src) == ["D003"]
+
+
+@pytest.mark.parametrize("call", [
+    "np.random.default_rng(seed=7)",
+    "np.random.SeedSequence(entropy=7)",
+    "np.random.Philox(key=7)",
+    "np.random.default_rng(**config)",
+    "np.random.Generator(np.random.PCG64(7))",
+])
+def test_d003_seeded_constructor_allowed(call):
+    src = f"import numpy as np\ndef f(config):\n    return {call}\n"
+    assert codes(src) == []
+
+
 def test_d003_registry_stream_allowed():
     src = "def f(rngs):\n    return rngs.stream('x').normal()\n"
     assert codes(src) == []

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.data import mesh
 from repro.data import DiscoveryIndex, ShardedDiscoveryIndex, shard_for
 from repro.data.shard import ShardedDiscoveryIndex as _Direct
 
@@ -255,6 +256,23 @@ def test_query_calls_do_not_grow_with_unmatched_entries(call_counts):
             lambda: results.append([idx.query(**q) for q in queries])))
     assert counts[0] == counts[1]
     assert results[0] == results[1]
+
+
+def test_postings_only_queries_skip_the_entry_filter(monkeypatch):
+    """A query answered wholly from postings (no residual filter, no
+    predicate) returns its sorted candidates without re-checking each
+    entry, and the same entries a predicate-carrying query returns."""
+    entries, queries = _mesh(1000)
+    idx = _index(entries)
+    postings_only = [q for q in queries if "record_id" not in q]
+    everything = [idx.query(predicate=lambda e: True, **q)
+                  for q in postings_only]
+    checked = []
+    real = mesh._entry_matches
+    monkeypatch.setattr(mesh, "_entry_matches",
+                        lambda *args: checked.append(1) or real(*args))
+    assert [idx.query(**q) for q in postings_only] == everything
+    assert checked == []
 
 
 def test_publish_calls_do_not_grow_with_index_size(call_counts):

@@ -2,12 +2,12 @@
 
 An option nobody sets doubles the configurations tests must cover and
 hides the value the experiments actually run with: it should be a named
-constant instead.  This test parses ``src/repro`` (minus ``analysis/``)
-and fails on any defaulted parameter that no call site in
-``src/``, ``tests/``, ``benchmarks/``, ``examples/`` or ``perfbench/``
-passes — by keyword, by position, through ``super().__init__``, through
-``functools.partial`` or through ``**kwargs`` forwarding — unless it is
-on :data:`ALLOWLIST` with a reason.
+constant instead.  This test parses ``src/repro`` and fails on any
+defaulted parameter that no call site in ``src/``, ``tests/``,
+``benchmarks/``, ``examples/`` or ``perfbench/`` passes — by keyword, by
+position, through ``super().__init__``, through ``functools.partial`` or
+through ``**kwargs`` forwarding — unless it is on :data:`ALLOWLIST` with
+a reason.
 
 Call sites are matched by callee *name*, so the check errs towards "set":
 a call through a variable or a registry is invisible to it, while a
@@ -22,7 +22,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "repro"
-SKIPPED = ("analysis",)
+SKIPPED = ()
 CALLER_ROOTS = ("src", "tests", "benchmarks", "examples", "perfbench")
 
 #: ``module.qualname:param`` -> why it may stay unset.
